@@ -139,7 +139,9 @@ int main(int argc, char** argv) {
     for (Workload w : kAllWorkloads) {
       introspect::QueryProfile profs[3];
       for (int i = 0; i < 3; ++i) {
-        introspect::ScopedQueryProfile scope(&profs[i]);
+        // Profile only: the paper counters keep their structure-owned
+        // fallback, so the metric lines are unaffected.
+        ScopedQueryContext scope({.profile = &profs[i]});
         QueryStats qs;
         st = exp.RunWorkload(kinds[i], w, &qs);
         if (!st.ok()) {

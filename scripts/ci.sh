@@ -7,6 +7,10 @@
 # Tier 1: configure with -DLSDB_WERROR=ON (warnings are errors, which
 #         also hardens the [[nodiscard]] Status discipline into a build
 #         break), build, and run the full test suite.
+# Tier 1b: build the benchmark binary (perfbench/, a Release build of
+#         src/ with the lock-order verifier off), so a src/ API change
+#         that breaks the benchmark fails here rather than in a later
+#         benchmark run.
 # Tier 2: rebuild with ThreadSanitizer (-DLSDB_SAN=thread) and re-run the
 #         ENTIRE ctest suite (the lock-order verifier is armed in this
 #         build too, so TSan races and acquisition-order inversions are
@@ -57,6 +61,9 @@ JOBS="$(nproc)"
 cmake -B build -S . -DLSDB_WERROR=ON
 cmake --build build -j"${JOBS}"
 ctest --test-dir build --output-on-failure -j"${JOBS}"
+
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j"${JOBS}" --target lsdb_perfbench
 
 cmake -B build-tsan -S . -DLSDB_SAN=thread
 cmake --build build-tsan -j"${JOBS}"

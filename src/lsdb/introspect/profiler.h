@@ -14,8 +14,8 @@
 // LSDB_INTROSPECT(...) macro below, which compiles to one thread-local
 // pointer load and an untaken branch. No counters are maintained, nothing
 // shared is written, no allocation happens. When on, a query records into
-// a caller-owned QueryProfile via the same thread-local redirect mechanism
-// as ScopedCounterSink.
+// a caller-owned QueryProfile installed as the `profile` field of its
+// QueryContext (util/counters.h).
 
 #ifndef LSDB_INTROSPECT_PROFILER_H_
 #define LSDB_INTROSPECT_PROFILER_H_
@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "lsdb/util/counters.h"
 
 namespace lsdb {
 namespace introspect {
@@ -85,35 +87,11 @@ struct QueryProfile {
   uint64_t bucket_results_mark_ = 0;
 };
 
-namespace internal {
-/// Active per-thread recording target (null = profiling off). Owned by
-/// ScopedQueryProfile; never touch directly outside this header.
-inline thread_local QueryProfile* tls_query_profile = nullptr;
-}  // namespace internal
-
 /// The profile the calling thread is recording into, or null when off.
+/// Installed by ScopedQueryContext (util/counters.h).
 inline QueryProfile* ThreadProfile() {
-  return internal::tls_query_profile;
+  return ::lsdb::internal::tls_query_context.profile;
 }
-
-/// RAII install: while alive, descent hooks on the constructing thread
-/// record into `profile` (pass null to run with profiling off). Scopes
-/// nest — the innermost wins — and must be destroyed on the thread that
-/// created them, mirroring ScopedCounterSink.
-class ScopedQueryProfile {
- public:
-  explicit ScopedQueryProfile(QueryProfile* profile)
-      : prev_(internal::tls_query_profile) {
-    internal::tls_query_profile = profile;
-  }
-  ~ScopedQueryProfile() { internal::tls_query_profile = prev_; }
-
-  ScopedQueryProfile(const ScopedQueryProfile&) = delete;
-  ScopedQueryProfile& operator=(const ScopedQueryProfile&) = delete;
-
- private:
-  QueryProfile* prev_;
-};
 
 /// Lock-free aggregate of many QueryProfiles, sharded per worker like
 /// LatencyHistogram: each shard is single-writer (its worker), readers

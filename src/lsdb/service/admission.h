@@ -121,6 +121,9 @@ class AdmissionQueue {
     /// The breaker already granted this request as a probe at submit;
     /// execution must not consume a second AllowRequest ticket.
     bool breaker_preapproved = false;
+    /// ExecuteBatchAdmitted's per-worker metric slots, indexed by the
+    /// executing worker; null for a lone SubmitQuery.
+    MetricCounters* per_worker = nullptr;
   };
 
   /// A ticket the queue handed back unexecuted, with its reason.

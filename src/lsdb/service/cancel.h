@@ -2,11 +2,10 @@
 //
 // A CancelToken pairs a monotonic deadline with an atomic cancel flag.
 // The service arms one per admitted query (deadline = submit time +
-// budget) and installs it in thread-local storage for the duration of the
-// query, exactly like ScopedQueryProfile installs a QueryProfile
-// (introspect/profiler.h). Index descents poll the token at node-load
-// granularity through LSDB_RETURN_IF_CANCELLED(): when no token is
-// installed — every paper-harness and default serving path — the
+// budget) and installs it as the `cancel` field of the query's
+// QueryContext (util/counters.h) for the duration of the query. Index
+// descents poll the token at node-load granularity through
+// LSDB_RETURN_IF_CANCELLED(): when no token is installed — every paper-harness and default serving path — the
 // checkpoint is one thread-local load and an untaken branch, so Table 1/2
 // metrics stay byte-identical with the layer compiled in.
 //
@@ -17,9 +16,10 @@
 // a success by the circuit breaker (circuit_breaker.h), so shedding and
 // timeouts never trip or heal a breaker.
 //
-// The header is deliberately dependency-light (status.h + <atomic> +
-// <chrono>) so storage-layer waits (BufferPool frame exhaustion) can honor
-// the token without depending on the rest of service/.
+// The header is deliberately dependency-light (status.h, counters.h,
+// <atomic>, <chrono>) so storage-layer waits (BufferPool frame
+// exhaustion) can honor the token without depending on the rest of
+// service/.
 
 #ifndef LSDB_SERVICE_CANCEL_H_
 #define LSDB_SERVICE_CANCEL_H_
@@ -28,6 +28,7 @@
 #include <chrono>
 #include <cstdint>
 
+#include "lsdb/util/counters.h"
 #include "lsdb/util/status.h"
 
 namespace lsdb {
@@ -115,35 +116,10 @@ class CancelToken {
   uint32_t polls_ = 0;  ///< Touched only by the executing thread.
 };
 
-namespace internal {
-/// Thread-local cancellation target, mirroring tls_query_profile: null on
-/// every thread until a ScopedCancelScope installs a token, which is why
-/// the unset checkpoint path is one load and an untaken branch.
-inline thread_local CancelToken* tls_cancel_token = nullptr;
-}  // namespace internal
-
-/// The token installed on this thread, or nullptr.
+/// The token installed on this thread by ScopedQueryContext, or nullptr.
 inline CancelToken* ThreadCancelToken() {
-  return internal::tls_cancel_token;
+  return internal::tls_query_context.cancel;
 }
-
-/// RAII installer: redirects this thread's checkpoints at `token` for the
-/// scope's lifetime, restoring the previous target on exit (scopes nest).
-/// Pass nullptr to run a scope with checkpoints disabled.
-class ScopedCancelScope {
- public:
-  explicit ScopedCancelScope(CancelToken* token)
-      : prev_(internal::tls_cancel_token) {
-    internal::tls_cancel_token = token;
-  }
-  ~ScopedCancelScope() { internal::tls_cancel_token = prev_; }
-
-  ScopedCancelScope(const ScopedCancelScope&) = delete;
-  ScopedCancelScope& operator=(const ScopedCancelScope&) = delete;
-
- private:
-  CancelToken* prev_;
-};
 
 }  // namespace lsdb
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <initializer_list>
+#include <utility>
 
 #include "lsdb/build/bulk_loader.h"
 #include "lsdb/geom/morton.h"
@@ -12,29 +14,16 @@
 namespace lsdb {
 
 const char* ServedIndexName(ServedIndex s) {
-  switch (s) {
-    case ServedIndex::kRStar:
-      return "R*";
-    case ServedIndex::kRPlus:
-      return "R+";
-    case ServedIndex::kPmr:
-      return "PMR";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"R*", "R+", "PMR"};
+  const size_t i = static_cast<size_t>(s);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 const char* QueryTypeName(QueryType t) {
-  switch (t) {
-    case QueryType::kPoint:
-      return "point";
-    case QueryType::kWindow:
-      return "window";
-    case QueryType::kNearest:
-      return "nearest";
-    case QueryType::kIncident:
-      return "incident";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"point", "window", "nearest",
+                                           "incident"};
+  const size_t i = static_cast<size_t>(t);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 bool SameResponse(const QueryResponse& a, const QueryResponse& b) {
@@ -58,8 +47,66 @@ bool SameResponses(const BatchResult& a, const BatchResult& b) {
   return true;
 }
 
+namespace {
+/// Cache-line-padded per-worker counters so concurrent increments on
+/// neighbouring workers do not false-share.
+struct alignas(64) PaddedCounters {
+  MetricCounters c;
+};
+
+/// The window a groupable (window or point) request descends with.
+Rect GroupedWindow(const QueryRequest& q) {
+  return q.type == QueryType::kWindow ? q.window : Rect::AtPoint(q.point);
+}
+
+/// Spatial sort key for throughput-mode grouping: Hilbert index of the
+/// request window's center, clamped to the 16-bit curve domain.
+uint64_t GroupedWindowKey(const QueryRequest& q) {
+  const Point c = GroupedWindow(q).Center();
+  const uint32_t x = static_cast<uint32_t>(std::clamp<Coord>(c.x, 0, 65535));
+  const uint32_t y = static_cast<uint32_t>(std::clamp<Coord>(c.y, 0, 65535));
+  return HilbertEncode(16, x, y);
+}
+
+/// Constructs a typed tree over `file`: Open() re-reads a snapshot's
+/// superblock, Init() starts an empty structure for the build.
+template <typename Tree>
+Status MakeTree(const IndexOptions& io, PageFile* file, SegmentTable* segs,
+                bool open, std::unique_ptr<SpatialIndex>* out) {
+  auto tree = std::make_unique<Tree>(io, file, segs);
+  LSDB_RETURN_IF_ERROR(open ? tree->Open() : tree->Init());
+  *out = std::move(tree);
+  return Status::OK();
+}
+
+/// Runs one request against `idx`.
+void Execute(SpatialIndex* idx, const QueryRequest& q, QueryResponse* r) {
+  switch (q.type) {
+    case QueryType::kPoint:
+      r->status = idx->PointQueryEx(q.point, &r->hits);
+      break;
+    case QueryType::kWindow:
+      r->status = idx->WindowQueryEx(q.window, &r->hits);
+      break;
+    case QueryType::kNearest: {
+      auto n = idx->Nearest(q.point);
+      if (n.ok()) r->nearest = *n;
+      r->status = n.status();
+      break;
+    }
+    case QueryType::kIncident:
+      r->status = IncidentSegments(idx, q.point, &r->hits);
+      break;
+  }
+}
+}  // namespace
+
 QueryService::QueryService(const ServiceOptions& options)
-    : options_(options) {}
+    : options_(options) {
+  for (ServedIndex which : kAllServedIndexes) {
+    served(which).name = ServedIndexName(which);
+  }
+}
 
 QueryService::~QueryService() {
   // Shutdown order matters: close the admission queue first (future
@@ -120,9 +167,9 @@ Status QueryService::WriteSnapshot(const std::string& path) {
   // definition and would reject the writes.
   if (!seg_file_->read_only()) {
     LSDB_RETURN_IF_ERROR(segs_->Flush());
-    LSDB_RETURN_IF_ERROR(rstar_->Flush());
-    LSDB_RETURN_IF_ERROR(rplus_->Flush());
-    LSDB_RETURN_IF_ERROR(pmr_->Flush());
+    for (ServedStructure& s : served_) {
+      LSDB_RETURN_IF_ERROR(s.index->Flush());
+    }
   }
   snapshot::SnapshotParams params;
   params.page_size = options_.index.page_size;
@@ -134,28 +181,35 @@ Status QueryService::WriteSnapshot(const std::string& path) {
   // Stream from the raw backends, below the injectors, so an armed fault
   // plan cannot perturb the serialized bytes.
   return snapshot::WriteSnapshot(path, params, seg_file_.get(),
-                                 rstar_file_.get(), rplus_file_.get(),
-                                 pmr_file_.get());
+                                 served_[0].file.get(), served_[1].file.get(),
+                                 served_[2].file.get());
 }
 
 Status QueryService::SetUpObservability() {
-  // Histograms are created after the worker pool so shard count == worker
-  // count (one single-writer shard per worker).
-  for (ServedIndex which : kAllServedIndexes) {
+  // Created after the worker pool: one single-writer shard per worker,
+  // plus one for ExecuteBatchSequential's calling thread.
+  const uint32_t shards = workers_->size() + 1;
+  for (ServedStructure& s : served_) {
+    const std::string index = std::string("index=\"") + s.name + "\"";
+    const auto counter = [&](const char* name) {
+      return stats_.GetCounter(std::string(name) + "{" + index + "}");
+    };
     for (QueryType type : kAllQueryTypes) {
-      auto& slot = histograms_[static_cast<size_t>(which)]
-                              [static_cast<size_t>(type)];
-      slot = std::make_unique<LatencyHistogram>(workers_->size());
-      stats_.RegisterHistogram(
-          "lsdb_query_latency_ns",
-          std::string("index=\"") + ServedIndexName(which) + "\",kind=\"" +
-              QueryTypeName(type) + "\"",
-          slot.get());
-      // Profile aggregates share the histograms' sharding scheme: one
-      // single-writer shard per worker.
-      profiles_[static_cast<size_t>(which)][static_cast<size_t>(type)] =
-          std::make_unique<introspect::ProfileAccumulator>(workers_->size());
+      const size_t k = static_cast<size_t>(type);
+      const std::string labels =
+          index + ",kind=\"" + QueryTypeName(type) + "\"";
+      s.histograms[k] = std::make_unique<LatencyHistogram>(shards);
+      stats_.RegisterHistogram("lsdb_query_latency_ns", labels,
+                               s.histograms[k].get());
+      s.profiles[k] = std::make_unique<introspect::ProfileAccumulator>(shards);
+      s.queries_total[k] =
+          stats_.GetCounter("lsdb_queries_total{" + labels + "}");
     }
+    s.disk_reads_total = counter("lsdb_disk_reads_total");
+    s.segment_comps_total = counter("lsdb_segment_comps_total");
+    s.bbox_comps_total = counter("lsdb_bbox_comps_total");
+    s.bucket_comps_total = counter("lsdb_bucket_comps_total");
+    s.batches_total = counter("lsdb_batches_total");
   }
   introspect_on_.store(options_.introspect, std::memory_order_relaxed);
   if (!options_.trace_path.empty()) {
@@ -166,9 +220,9 @@ Status QueryService::SetUpObservability() {
   }
   admission_ = std::make_unique<AdmissionQueue>(options_.admission);
   // Pool events flow to the service tracer (no-ops while it is disabled).
-  seg_pool_->SetTracer(&tracer_, "segments");
   // The index-owned pools are private to each structure; their cache
   // behaviour reaches the registry via RefreshGauges() instead.
+  seg_pool_->SetTracer(&tracer_, "segments");
   return Status::OK();
 }
 
@@ -179,229 +233,153 @@ StatsRegistry& QueryService::stats() {
 
 const LatencyHistogram& QueryService::latency_histogram(
     ServedIndex which, QueryType type) const {
-  return *histograms_[static_cast<size_t>(which)][static_cast<size_t>(type)];
+  return *served(which).histograms[static_cast<size_t>(type)];
 }
 
 introspect::ProfileAccumulator::Summary QueryService::profile_summary(
     ServedIndex which, QueryType type) const {
-  const auto& acc =
-      profiles_[static_cast<size_t>(which)][static_cast<size_t>(type)];
-  if (acc == nullptr) return {};
-  return acc->Merge();
+  return served(which).profiles[static_cast<size_t>(type)]->Merge();
 }
 
 void QueryService::EnablePageHeat() {
-  BufferPool* pools[] = {seg_pool_.get(), rstar_->mutable_pool(),
-                         rplus_->mutable_pool(), pmr_->mutable_pool()};
-  const PageFile* files[] = {seg_file_.get(), rstar_file_.get(),
-                             rplus_file_.get(), pmr_file_.get()};
-  for (size_t i = 0; i < std::size(pools); ++i) {
-    if (heat_[i] != nullptr) continue;  // idempotent; keep existing counts
+  const auto attach = [this](std::unique_ptr<introspect::PageHeatMap>& heat,
+                             BufferPool* pool, const PageFile* file) {
+    if (heat != nullptr) return;  // idempotent; keep existing counts
     // Served structures are frozen, so page_count() is final: no accesses
     // land in the overflow bucket.
-    heat_[i] = std::make_unique<introspect::PageHeatMap>(
-        files[i]->page_count(), workers_->size());
-    pools[i]->SetPageHeat(heat_[i].get());
+    heat = std::make_unique<introspect::PageHeatMap>(file->page_count(),
+                                                     workers_->size());
+    pool->SetPageHeat(heat.get());
+  };
+  attach(seg_heat_, seg_pool_.get(), seg_file_.get());
+  for (ServedStructure& s : served_) {
+    attach(s.heat, s.index->mutable_pool(), s.file.get());
   }
 }
 
 void QueryService::RefreshGauges() {
-  const struct {
-    const char* name;
-    const BufferPool* pool;
-  } pools[] = {
-      {"segments", seg_pool_.get()},
-      {"R*", rstar_->pool()},
-      {"R+", rplus_->pool()},
-      {"PMR", pmr_->pool()},
+  using Values = std::initializer_list<std::pair<const char*, double>>;
+  const auto set = [this](const std::string& labels, Values values) {
+    for (const auto& [name, v] : values) stats_.GetGauge(name + labels)->Set(v);
   };
-  for (const auto& p : pools) {
-    const std::string labels = std::string("{pool=\"") + p.name + "\"}";
-    stats_.GetGauge("lsdb_bufferpool_hit_ratio" + labels)
-        ->Set(p.pool->hit_ratio());
-    stats_.GetGauge("lsdb_bufferpool_hits" + labels)
-        ->Set(static_cast<double>(p.pool->hits()));
-    stats_.GetGauge("lsdb_bufferpool_misses" + labels)
-        ->Set(static_cast<double>(p.pool->misses()));
-    stats_.GetGauge("lsdb_bufferpool_evictions" + labels)
-        ->Set(static_cast<double>(p.pool->evictions()));
-    stats_.GetGauge("lsdb_bufferpool_pin_waits" + labels)
-        ->Set(static_cast<double>(p.pool->pin_waits()));
-    stats_.GetGauge("lsdb_pool_io_retries" + labels)
-        ->Set(static_cast<double>(p.pool->io_retries()));
-    stats_.GetGauge("lsdb_pool_checksum_failures" + labels)
-        ->Set(static_cast<double>(p.pool->checksum_failures()));
-  }
-  for (ServedIndex which : kAllServedIndexes) {
-    const std::string labels =
-        std::string("{index=\"") + ServedIndexName(which) + "\"}";
-    const CircuitBreaker& b = breakers_[static_cast<size_t>(which)];
-    stats_.GetGauge("lsdb_degraded" + labels)->Set(b.open() ? 1.0 : 0.0);
-    stats_.GetGauge("lsdb_breaker_rejected_total" + labels)
-        ->Set(static_cast<double>(b.rejected()));
-    stats_.GetGauge("lsdb_breaker_times_opened" + labels)
-        ->Set(static_cast<double>(b.times_opened()));
-    const FaultStats& fs = fault_injector(which)->stats();
-    stats_.GetGauge("lsdb_fault_reads" + labels)
-        ->Set(static_cast<double>(fs.reads.load()));
-    stats_.GetGauge("lsdb_fault_read_transient" + labels)
-        ->Set(static_cast<double>(fs.transient_read_faults.load()));
-    stats_.GetGauge("lsdb_fault_read_permanent" + labels)
-        ->Set(static_cast<double>(fs.permanent_read_faults.load()));
-    stats_.GetGauge("lsdb_fault_bitflips" + labels)
-        ->Set(static_cast<double>(fs.bitflips.load()));
-    stats_.GetGauge("lsdb_fault_total" + labels)
-        ->Set(static_cast<double>(fs.total_faults()));
+  const auto d = [](uint64_t v) { return static_cast<double>(v); };
+  // Pool, page-heat and snapshot-section gauges of one paged file.
+  const auto pool_gauges = [&](const char* name, const BufferPool* pool,
+                               const introspect::PageHeatMap* heat,
+                               const PageFile* file) {
+    const std::string labels = std::string("{pool=\"") + name + "\"}";
+    set(labels, {{"lsdb_bufferpool_hit_ratio", pool->hit_ratio()},
+                 {"lsdb_bufferpool_hits", d(pool->hits())},
+                 {"lsdb_bufferpool_misses", d(pool->misses())},
+                 {"lsdb_bufferpool_evictions", d(pool->evictions())},
+                 {"lsdb_bufferpool_pin_waits", d(pool->pin_waits())},
+                 {"lsdb_pool_io_retries", d(pool->io_retries())},
+                 {"lsdb_pool_checksum_failures", d(pool->checksum_failures())}});
+    if (heat != nullptr) {
+      set(labels, {{"lsdb_page_heat_touches", d(heat->total())}});
+    }
+    // Snapshot sections are the only mapped files a service serves.
+    if (const auto* view = dynamic_cast<const MmapPageFile*>(file)) {
+      set(std::string("{section=\"") + name + "\"}",
+          {{"lsdb_snapshot_pages_verified", d(view->pages_verified())},
+           {"lsdb_snapshot_section_pages", d(view->page_count())}});
+    }
+  };
+  pool_gauges("segments", seg_pool_.get(), seg_heat_.get(), seg_file_.get());
+  for (const ServedStructure& s : served_) {
+    pool_gauges(s.name, s.index->pool(), s.heat.get(), s.file.get());
+    const FaultStats& fs = s.injector->stats();
+    set(std::string("{index=\"") + s.name + "\"}",
+        {{"lsdb_degraded", s.breaker.open() ? 1.0 : 0.0},
+         {"lsdb_breaker_rejected_total", d(s.breaker.rejected())},
+         {"lsdb_breaker_times_opened", d(s.breaker.times_opened())},
+         {"lsdb_fault_reads", d(fs.reads.load())},
+         {"lsdb_fault_read_transient", d(fs.transient_read_faults.load())},
+         {"lsdb_fault_read_permanent", d(fs.permanent_read_faults.load())},
+         {"lsdb_fault_bitflips", d(fs.bitflips.load())},
+         {"lsdb_fault_total", d(fs.total_faults())}});
+    for (QueryType type : kAllQueryTypes) {
+      const introspect::ProfileAccumulator::Summary p =
+          s.profiles[static_cast<size_t>(type)]->Merge();
+      if (p.queries == 0) continue;  // gauges appear once data exists
+      set(std::string("{index=\"") + s.name + "\",kind=\"" +
+              QueryTypeName(type) + "\"}",
+          {{"lsdb_introspect_queries", d(p.queries)},
+           {"lsdb_introspect_nodes_per_query", p.nodes_per_query()},
+           {"lsdb_introspect_false_leaf_read_rate", p.false_leaf_read_rate()},
+           {"lsdb_introspect_false_bucket_read_rate",
+            p.false_bucket_read_rate()},
+           {"lsdb_introspect_prune_rate", p.prune_rate()}});
+    }
   }
   for (uint32_t w = 0; w < workers_->size(); ++w) {
-    stats_
-        .GetGauge("lsdb_worker_items_processed{worker=\"" +
-                  std::to_string(w) + "\"}")
-        ->Set(static_cast<double>(workers_->items_processed(w)));
+    set("{worker=\"" + std::to_string(w) + "\"}",
+        {{"lsdb_worker_items_processed", d(workers_->items_processed(w))}});
   }
-  if (admission_ != nullptr) {
-    const AdmissionStats a = admission_->Snapshot();
-    stats_.GetGauge("lsdb_admission_queue_depth")
-        ->Set(static_cast<double>(a.depth));
-    stats_.GetGauge("lsdb_admission_queue_max_depth")
-        ->Set(static_cast<double>(a.max_depth));
-    stats_.GetGauge("lsdb_admission_admitted_total")
-        ->Set(static_cast<double>(a.admitted));
-    stats_.GetGauge("lsdb_admission_executed_total")
-        ->Set(static_cast<double>(a.executed));
-    stats_.GetGauge("lsdb_admission_timeouts_total")
-        ->Set(static_cast<double>(a.timeouts));
-    stats_.GetGauge("lsdb_admission_cancelled_total")
-        ->Set(static_cast<double>(a.cancelled));
-    stats_.GetGauge("lsdb_admission_last_queue_delay_ns")
-        ->Set(static_cast<double>(a.last_queue_delay_ns));
-    for (size_t i = 0; i < kNumShedReasons; ++i) {
-      if (a.shed[i] == 0) continue;  // gauges appear once sheds exist
-      stats_
-          .GetGauge(std::string("lsdb_admission_shed_total{reason=\"") +
-                    ShedReasonName(static_cast<ShedReason>(i)) + "\"}")
-          ->Set(static_cast<double>(a.shed[i]));
-    }
-    stats_.GetGauge("lsdb_worker_tasks_pending")
-        ->Set(static_cast<double>(workers_->tasks_pending()));
-  }
-  stats_.GetGauge("lsdb_introspect_enabled")
-      ->Set(introspection() ? 1.0 : 0.0);
-  stats_.GetGauge("lsdb_trace_lines_emitted")
-      ->Set(static_cast<double>(tracer_.lines_emitted()));
-  stats_.GetGauge("lsdb_trace_lines_dropped")
-      ->Set(static_cast<double>(tracer_.lines_dropped()));
-  for (ServedIndex which : kAllServedIndexes) {
-    for (QueryType type : kAllQueryTypes) {
-      const auto& acc =
-          profiles_[static_cast<size_t>(which)][static_cast<size_t>(type)];
-      if (acc == nullptr) continue;
-      const introspect::ProfileAccumulator::Summary s = acc->Merge();
-      if (s.queries == 0) continue;  // gauges appear once data exists
-      const std::string labels = std::string("{index=\"") +
-                                 ServedIndexName(which) + "\",kind=\"" +
-                                 QueryTypeName(type) + "\"}";
-      stats_.GetGauge("lsdb_introspect_queries" + labels)
-          ->Set(static_cast<double>(s.queries));
-      stats_.GetGauge("lsdb_introspect_nodes_per_query" + labels)
-          ->Set(s.nodes_per_query());
-      stats_.GetGauge("lsdb_introspect_false_leaf_read_rate" + labels)
-          ->Set(s.false_leaf_read_rate());
-      stats_.GetGauge("lsdb_introspect_false_bucket_read_rate" + labels)
-          ->Set(s.false_bucket_read_rate());
-      stats_.GetGauge("lsdb_introspect_prune_rate" + labels)
-          ->Set(s.prune_rate());
-    }
-  }
-  for (size_t i = 0; i < std::size(heat_); ++i) {
-    if (heat_[i] == nullptr) continue;
-    const char* heat_names[] = {"segments", "R*", "R+", "PMR"};
-    const std::string labels =
-        std::string("{pool=\"") + heat_names[i] + "\"}";
-    stats_.GetGauge("lsdb_page_heat_touches" + labels)
-        ->Set(static_cast<double>(heat_[i]->total()));
+  const AdmissionStats a = admission_->Snapshot();
+  set("", {{"lsdb_admission_queue_depth", d(a.depth)},
+           {"lsdb_admission_queue_max_depth", d(a.max_depth)},
+           {"lsdb_admission_admitted_total", d(a.admitted)},
+           {"lsdb_admission_executed_total", d(a.executed)},
+           {"lsdb_admission_timeouts_total", d(a.timeouts)},
+           {"lsdb_admission_cancelled_total", d(a.cancelled)},
+           {"lsdb_admission_last_queue_delay_ns", d(a.last_queue_delay_ns)},
+           {"lsdb_worker_tasks_pending", d(workers_->tasks_pending())},
+           {"lsdb_introspect_enabled", introspection() ? 1.0 : 0.0},
+           {"lsdb_trace_lines_emitted", d(tracer_.lines_emitted())},
+           {"lsdb_trace_lines_dropped", d(tracer_.lines_dropped())}});
+  for (size_t i = 0; i < kNumShedReasons; ++i) {
+    if (a.shed[i] == 0) continue;  // gauges appear once sheds exist
+    set(std::string("{reason=\"") +
+            ShedReasonName(static_cast<ShedReason>(i)) + "\"}",
+        {{"lsdb_admission_shed_total", d(a.shed[i])}});
   }
   if (snapshot_ != nullptr) {
-    stats_.GetGauge("lsdb_snapshot_zero_copy")
-        ->Set(snapshot_zero_copy_ ? 1.0 : 0.0);
-    const char* section_names[] = {"segments", "R*", "R+", "PMR"};
-    for (size_t i = 0; i < 4; ++i) {
-      if (snapshot_views_[i] == nullptr) continue;
-      const std::string labels =
-          std::string("{section=\"") + section_names[i] + "\"}";
-      stats_.GetGauge("lsdb_snapshot_pages_verified" + labels)
-          ->Set(static_cast<double>(snapshot_views_[i]->pages_verified()));
-      stats_.GetGauge("lsdb_snapshot_section_pages" + labels)
-          ->Set(static_cast<double>(snapshot_views_[i]->page_count()));
-    }
+    set("", {{"lsdb_snapshot_zero_copy", snapshot_zero_copy_ ? 1.0 : 0.0}});
   }
 }
 
-Status QueryService::BuildIndexes(const PolygonalMap& map) {
+Status QueryService::OpenSegments(bool open) {
+  // Shared segment table. Its metrics pointer is null, as in the harness:
+  // segment comparisons are counted by the per-query contexts while
+  // serving. On a snapshot its Fetches borrow mapped bytes like the
+  // indexes'.
+  seg_pool_ = std::make_unique<BufferPool>(
+      seg_file_.get(), options_.serving_buffer_frames, nullptr);
+  segs_ = std::make_unique<SegmentTable>(seg_pool_.get(), nullptr);
+  return open ? segs_->Open() : Status::OK();
+}
+
+Status QueryService::MakeStructures(bool open) {
   IndexOptions io = options_.index;
   io.buffer_frames = options_.serving_buffer_frames;
-
-  // Shared segment table. Its metrics pointer is null, as in the harness:
-  // segment comparisons are counted by the per-worker sinks while serving.
-  seg_file_ = std::make_unique<MemPageFile>(io.page_size);
-  seg_pool_ =
-      std::make_unique<BufferPool>(seg_file_.get(), io.buffer_frames,
-                                   nullptr);
-  segs_ = std::make_unique<SegmentTable>(seg_pool_.get(), nullptr);
-  for (const Segment& s : map.segments) {
-    LSDB_ASSIGN_OR_RETURN([[maybe_unused]] const SegmentId id,
-                          segs_->Append(s));
-  }
-
-  rstar_file_ = std::make_unique<MemPageFile>(io.page_size);
-  rplus_file_ = std::make_unique<MemPageFile>(io.page_size);
-  pmr_file_ = std::make_unique<MemPageFile>(io.page_size);
   // Each structure's pool talks to its file through a fault injector. The
-  // injectors stay transparent (no plan) during the build, so structure
-  // layout and paper metrics are byte-identical with or without them.
-  PageFile* files[] = {rstar_file_.get(), rplus_file_.get(),
-                       pmr_file_.get()};
-  for (ServedIndex which : kAllServedIndexes) {
-    injectors_[static_cast<size_t>(which)] =
-        std::make_unique<FaultInjectingPageFile>(
-            files[static_cast<size_t>(which)]);
-    breakers_[static_cast<size_t>(which)].set_options(options_.breaker);
+  // injectors stay transparent (no plan) until FreezeForServing, so
+  // structure layout and paper metrics are byte-identical with or without
+  // them.
+  for (ServedStructure& s : served_) {
+    s.injector = std::make_unique<FaultInjectingPageFile>(s.file.get());
+    s.breaker.set_options(options_.breaker);
   }
-  rstar_ = std::make_unique<RStarTree>(
-      io, fault_injector(ServedIndex::kRStar), segs_.get());
-  rplus_ = std::make_unique<RPlusTree>(
-      io, fault_injector(ServedIndex::kRPlus), segs_.get());
-  pmr_ = std::make_unique<PmrQuadtree>(
-      io, fault_injector(ServedIndex::kPmr), segs_.get());
-  LSDB_RETURN_IF_ERROR(rstar_->Init());
-  LSDB_RETURN_IF_ERROR(rplus_->Init());
-  LSDB_RETURN_IF_ERROR(pmr_->Init());
+  ServedStructure* s = served_;
+  SegmentTable* segs = segs_.get();
+  LSDB_RETURN_IF_ERROR(MakeTree<RStarTree>(io, s[0].injector.get(), segs,
+                                           open, &s[0].index));
+  LSDB_RETURN_IF_ERROR(MakeTree<RPlusTree>(io, s[1].injector.get(), segs,
+                                           open, &s[1].index));
+  return MakeTree<PmrQuadtree>(io, s[2].injector.get(), segs, open,
+                               &s[2].index);
+}
 
-  BulkItems items;
-  if (options_.bulk_build) {
-    items.reserve(map.segments.size());
-    for (SegmentId id = 0; id < map.segments.size(); ++id) {
-      items.emplace_back(id, map.segments[id]);
-    }
-  }
-  for (SpatialIndex* idx :
-       {static_cast<SpatialIndex*>(rstar_.get()),
-        static_cast<SpatialIndex*>(rplus_.get()),
-        static_cast<SpatialIndex*>(pmr_.get())}) {
-    if (options_.bulk_build) {
-      LSDB_RETURN_IF_ERROR(lsdb::BulkLoad(idx, items));
-    } else {
-      for (SegmentId id = 0; id < map.segments.size(); ++id) {
-        LSDB_RETURN_IF_ERROR(idx->Insert(id, map.segments[id]));
-      }
-    }
-    LSDB_RETURN_IF_ERROR(idx->Flush());
-    idx->Freeze();
+Status QueryService::FreezeForServing() {
+  for (ServedStructure& s : served_) {
+    s.index->Freeze();
     // Throughput mode: rematerialize the frozen tree into the SoA scan
-    // cache (no-op for structures without one). Fault injectors are armed
-    // only after this, so the cache never absorbs an injected fault.
+    // cache (no-op for structures without one). On a snapshot open this
+    // re-derives the cache from the mapping, since the file carries only
+    // the paged images (verify-on-first-touch runs during this walk).
     if (options_.throughput_mode) {
-      LSDB_RETURN_IF_ERROR(idx->BuildScanCache());
+      LSDB_RETURN_IF_ERROR(s.index->BuildScanCache());
     }
   }
   // Refinement reads segments far more often than nodes; throughput mode
@@ -409,379 +387,274 @@ Status QueryService::BuildIndexes(const PolygonalMap& map) {
   if (options_.throughput_mode) {
     LSDB_RETURN_IF_ERROR(segs_->BuildFlatCache());
   }
-  if (options_.inject_faults) ArmFaultInjectors();
+  // Arm only once everything is frozen and cached, so no cache absorbs an
+  // injected fault. Decorrelate the per-structure streams so one
+  // structure's fault draw sequence does not mirror another's.
+  if (options_.inject_faults) {
+    for (ServedIndex which : kAllServedIndexes) {
+      FaultPlan plan = options_.fault_plan;
+      plan.seed += 0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(which) + 1);
+      served(which).injector->set_plan(plan);
+    }
+  }
   return Status::OK();
 }
 
-void QueryService::ArmFaultInjectors() {
-  // Arm only once everything is built (or opened) and frozen. Decorrelate
-  // the per-structure streams so one structure's fault draw sequence does
-  // not mirror another's.
-  for (ServedIndex which : kAllServedIndexes) {
-    FaultPlan plan = options_.fault_plan;
-    plan.seed +=
-        0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(which) + 1);
-    fault_injector(which)->set_plan(plan);
+Status QueryService::BuildIndexes(const PolygonalMap& map) {
+  seg_file_ = std::make_unique<MemPageFile>(options_.index.page_size);
+  LSDB_RETURN_IF_ERROR(OpenSegments(/*open=*/false));
+  for (const Segment& s : map.segments) {
+    LSDB_ASSIGN_OR_RETURN([[maybe_unused]] const SegmentId id,
+                          segs_->Append(s));
   }
+  for (ServedStructure& s : served_) {
+    s.file = std::make_unique<MemPageFile>(options_.index.page_size);
+  }
+  LSDB_RETURN_IF_ERROR(MakeStructures(/*open=*/false));
+  BulkItems items;
+  if (options_.bulk_build) {
+    items.reserve(map.segments.size());
+    for (SegmentId id = 0; id < map.segments.size(); ++id) {
+      items.emplace_back(id, map.segments[id]);
+    }
+  }
+  for (ServedStructure& s : served_) {
+    if (options_.bulk_build) {
+      LSDB_RETURN_IF_ERROR(lsdb::BulkLoad(s.index.get(), items));
+    } else {
+      for (SegmentId id = 0; id < map.segments.size(); ++id) {
+        LSDB_RETURN_IF_ERROR(s.index->Insert(id, map.segments[id]));
+      }
+    }
+    LSDB_RETURN_IF_ERROR(s.index->Flush());
+  }
+  return FreezeForServing();
 }
 
 Status QueryService::OpenIndexesFromSnapshot(bool zero_copy) {
-  IndexOptions io = options_.index;
-  io.buffer_frames = options_.serving_buffer_frames;
   using snapshot::SectionKind;
-
-  // Segment table view + pool. The table is always served through the
-  // pool-copy path in spirit (Get() goes through Fetch either way); with
-  // zero_copy its Fetches borrow mapped bytes like the indexes'.
   LSDB_ASSIGN_OR_RETURN(
-      std::unique_ptr<MmapPageFile> seg_view,
-      snapshot_->OpenSection(SectionKind::kSegments, zero_copy));
-  snapshot_views_[0] = seg_view.get();
-  seg_file_ = std::move(seg_view);
-  seg_pool_ = std::make_unique<BufferPool>(seg_file_.get(),
-                                           io.buffer_frames, nullptr);
-  segs_ = std::make_unique<SegmentTable>(seg_pool_.get(), nullptr);
-  LSDB_RETURN_IF_ERROR(segs_->Open());
+      seg_file_, snapshot_->OpenSection(SectionKind::kSegments, zero_copy));
+  LSDB_RETURN_IF_ERROR(OpenSegments(/*open=*/true));
   if (segs_->size() != snapshot_->header().segment_count) {
     return Status::Corruption(
         "segment count mismatch between snapshot header and segment table");
   }
-
   const SectionKind kinds[] = {SectionKind::kRStar, SectionKind::kRPlus,
                                SectionKind::kPmr};
-  std::unique_ptr<PageFile>* slots[] = {&rstar_file_, &rplus_file_,
-                                        &pmr_file_};
-  for (ServedIndex which : kAllServedIndexes) {
-    const size_t i = static_cast<size_t>(which);
-    LSDB_ASSIGN_OR_RETURN(std::unique_ptr<MmapPageFile> view,
+  for (size_t i = 0; i < std::size(served_); ++i) {
+    LSDB_ASSIGN_OR_RETURN(served_[i].file,
                           snapshot_->OpenSection(kinds[i], zero_copy));
-    snapshot_views_[i + 1] = view.get();
-    *slots[i] = std::move(view);
-    injectors_[i] =
-        std::make_unique<FaultInjectingPageFile>(slots[i]->get());
-    breakers_[i].set_options(options_.breaker);
   }
-  rstar_ = std::make_unique<RStarTree>(
-      io, fault_injector(ServedIndex::kRStar), segs_.get());
-  rplus_ = std::make_unique<RPlusTree>(
-      io, fault_injector(ServedIndex::kRPlus), segs_.get());
-  pmr_ = std::make_unique<PmrQuadtree>(
-      io, fault_injector(ServedIndex::kPmr), segs_.get());
-  LSDB_RETURN_IF_ERROR(rstar_->Open());
-  LSDB_RETURN_IF_ERROR(rplus_->Open());
-  LSDB_RETURN_IF_ERROR(pmr_->Open());
-  for (SpatialIndex* idx :
-       {static_cast<SpatialIndex*>(rstar_.get()),
-        static_cast<SpatialIndex*>(rplus_.get()),
-        static_cast<SpatialIndex*>(pmr_.get())}) {
-    idx->Freeze();
-    // SoA sidecar rebuild on mmap open: the snapshot file carries only the
-    // paged images, so throughput mode re-derives the scan cache from the
-    // mapping here (verify-on-first-touch runs during this walk).
-    if (options_.throughput_mode) {
-      LSDB_RETURN_IF_ERROR(idx->BuildScanCache());
-    }
-  }
-  if (options_.throughput_mode) {
-    LSDB_RETURN_IF_ERROR(segs_->BuildFlatCache());
-  }
-  if (options_.inject_faults) ArmFaultInjectors();
-  return Status::OK();
+  LSDB_RETURN_IF_ERROR(MakeStructures(/*open=*/true));
+  return FreezeForServing();
 }
 
 SpatialIndex* QueryService::index(ServedIndex which) {
-  switch (which) {
-    case ServedIndex::kRStar:
-      return rstar_.get();
-    case ServedIndex::kRPlus:
-      return rplus_.get();
-    case ServedIndex::kPmr:
-      return pmr_.get();
-  }
-  return nullptr;
+  ServedStructure* s = find(which);
+  return s != nullptr ? s->index.get() : nullptr;
 }
 
-QueryResponse QueryService::ExecuteOne(ServedIndex which, SpatialIndex* idx,
-                                       const QueryRequest& q,
-                                       bool breaker_preapproved) {
-  CircuitBreaker& breaker = breakers_[static_cast<size_t>(which)];
-  QueryResponse r;
-  // An admitted request that already consumed a half-open probe ticket at
-  // submit must not consume a second one here.
-  if (!breaker_preapproved && !breaker.AllowRequest()) {
-    r.status = Status::Unavailable(
-        std::string(ServedIndexName(which)) + " index degraded: breaker open");
-    return r;
+void QueryService::Run(ServedStructure& s, uint32_t shard,
+                       MetricCounters* counters, Job* jobs, size_t n) {
+  // Per-query descent profile, installed only when introspection is on (a
+  // null profile keeps the descent hooks on their one-branch disabled
+  // path). The toggle is re-read per query, so a live flip takes effect at
+  // the next query boundary. A grouped descent works for many requests at
+  // once and has no per-request profile to record.
+  const bool prof_on =
+      n == 1 && introspect_on_.load(std::memory_order_relaxed);
+  introspect::QueryProfile prof;
+  // Deadline/cancel token. Requests carrying neither leave it null, so the
+  // descent checkpoints stay on their one-load untaken-branch path and
+  // paper metrics are byte-identical. Grouped requests carry neither.
+  CancelToken token;
+  const QueryRequest& q0 = *jobs[0].request;
+  QueryContext ctx{counters, prof_on ? &prof : nullptr, jobs[0].token};
+  if (ctx.cancel == nullptr && (q0.deadline_ns > 0 || q0.cancel != nullptr)) {
+    if (q0.deadline_ns > 0) token.ArmBudget(q0.deadline_ns);
+    token.LinkParent(q0.cancel);
+    ctx.cancel = &token;
   }
-  switch (q.type) {
-    case QueryType::kPoint:
-      r.status = idx->PointQueryEx(q.point, &r.hits);
-      break;
-    case QueryType::kWindow:
-      r.status = idx->WindowQueryEx(q.window, &r.hits);
-      break;
-    case QueryType::kNearest: {
-      auto n = idx->Nearest(q.point);
-      if (n.ok()) r.nearest = *n;
-      r.status = n.status();
-      break;
+  // Snapshot the counters so the run's exact metric deltas can be
+  // attributed to its spans. Admitted jobs time from submit: queueing
+  // delay is the overload signal.
+  const MetricCounters before = *counters;
+  const auto t0 = jobs[0].token != nullptr ? jobs[0].enqueued
+                                           : std::chrono::steady_clock::now();
+  // Breaker ticket. A ticket whose budget ran out while queued times out
+  // without costing a descent; a request that already consumed a
+  // half-open probe ticket at submit must not consume a second one.
+  const auto admit = [&s](const Job& j) {
+    if (j.token != nullptr) j.response->status = j.token->StatusNow();
+    if (!j.response->status.ok()) return false;
+    if (j.breaker_preapproved || s.breaker.AllowRequest()) return true;
+    j.response->status = Status::Unavailable(std::string(s.name) +
+                                             " index degraded: breaker open");
+    return false;
+  };
+  {
+    ScopedQueryContext scope(ctx);
+    if (n == 1) {
+      if (admit(jobs[0])) Execute(s.index.get(), q0, jobs[0].response);
+    } else {
+      // Throughput mode: one shared descent answers every admitted window.
+      std::vector<Rect> ws;
+      std::vector<QueryResponse*> rs;
+      ws.reserve(n);
+      rs.reserve(n);
+      for (size_t k = 0; k < n; ++k) {
+        if (!admit(jobs[k])) continue;
+        ws.push_back(GroupedWindow(*jobs[k].request));
+        rs.push_back(jobs[k].response);
+      }
+      std::vector<std::vector<SegmentHit>> hits;
+      const Status st =
+          ws.empty() ? Status::OK() : s.index->WindowQueryBatch(ws, &hits);
+      for (size_t k = 0; k < rs.size(); ++k) {
+        rs[k]->status = st;
+        if (st.ok()) rs[k]->hits = std::move(hits[k]);
+      }
     }
-    case QueryType::kIncident:
-      r.status = IncidentSegments(idx, q.point, &r.hits);
-      break;
   }
-  if (CircuitBreaker::IsFailure(r.status)) {
-    if (breaker.RecordFailure()) {
-      tracer_.EmitHealthEvent(ServedIndexName(which), "breaker_open");
+  // A grouped run executed as one descent: each request is charged the
+  // amortized share of its time and metrics (DESIGN.md §15).
+  const uint64_t ns =
+      static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()) /
+      n;
+  const MetricCounters d =
+      tracer_.enabled() ? *counters - before : MetricCounters{};
+  for (size_t k = 0; k < n; ++k) {
+    const QueryType type = jobs[k].request->type;
+    QueryResponse& r = *jobs[k].response;
+    r.latency_ns = ns;
+    if (CircuitBreaker::IsFailure(r.status)) {
+      if (s.breaker.RecordFailure()) {
+        tracer_.EmitHealthEvent(s.name, "breaker_open");
+      }
+    } else if (CircuitBreaker::IsSuccess(r.status)) {
+      if (s.breaker.RecordSuccess()) {
+        tracer_.EmitHealthEvent(s.name, "breaker_closed");
+      }
     }
-  } else if (CircuitBreaker::IsSuccess(r.status)) {
-    if (breaker.RecordSuccess()) {
-      tracer_.EmitHealthEvent(ServedIndexName(which), "breaker_closed");
+    s.histograms[static_cast<size_t>(type)]->Record(shard, ns);
+    if (prof_on) s.profiles[static_cast<size_t>(type)]->Record(shard, prof);
+    if (!tracer_.enabled()) continue;
+    QuerySpan span;
+    span.query_id = jobs[k].id;
+    span.kind = QueryTypeName(type);
+    span.structure = s.name;
+    span.latency_ns = ns;
+    span.disk_reads = d.disk_reads / n;
+    span.segment_comps = d.segment_comps / n;
+    span.bbox_comps = d.bbox_comps / n;
+    span.bucket_comps = d.bucket_comps / n;
+    span.worker = shard;
+    if (prof_on) {
+      span.has_introspect = true;
+      span.nodes_visited = prof.nodes_visited;
+      span.nodes_pruned = prof.entries_pruned();
+      span.false_leaf_reads = prof.false_leaf_reads;
+      span.false_bucket_reads = prof.false_bucket_reads;
+      span.max_depth = prof.max_depth;
     }
+    tracer_.EmitQuerySpan(span);
   }
-  return r;
 }
 
-namespace {
-/// Cache-line-padded per-worker counters so concurrent increments on
-/// neighbouring workers do not false-share.
-struct alignas(64) PaddedCounters {
-  MetricCounters c;
-};
-
-/// Spatial sort key for throughput-mode grouping: Hilbert index of the
-/// request window's center, clamped to the 16-bit curve domain.
-uint64_t GroupedWindowKey(const QueryRequest& q) {
-  const Rect w =
-      q.type == QueryType::kWindow ? q.window : Rect::AtPoint(q.point);
-  const Point c = w.Center();
-  const uint32_t x = static_cast<uint32_t>(std::clamp<Coord>(c.x, 0, 65535));
-  const uint32_t y = static_cast<uint32_t>(std::clamp<Coord>(c.y, 0, 65535));
-  return HilbertEncode(16, x, y);
+void QueryService::Tally(ServedStructure& s, const QueryRequest* requests,
+                         size_t n, const MetricCounters& m) {
+  uint64_t per_kind[std::size(kAllQueryTypes)] = {};
+  for (size_t i = 0; i < n; ++i) {
+    ++per_kind[static_cast<size_t>(requests[i].type)];
+  }
+  for (size_t k = 0; k < std::size(kAllQueryTypes); ++k) {
+    if (per_kind[k] != 0) s.queries_total[k]->Add(per_kind[k]);
+  }
+  s.disk_reads_total->Add(m.disk_reads);
+  s.segment_comps_total->Add(m.segment_comps);
+  s.bbox_comps_total->Add(m.bbox_comps);
+  s.bucket_comps_total->Add(m.bucket_comps);
 }
-}  // namespace
 
 StatusOr<BatchResult> QueryService::ExecuteBatch(
     ServedIndex which, const std::vector<QueryRequest>& batch) {
-  SpatialIndex* idx = index(which);
-  if (idx == nullptr) return Status::InvalidArgument("unknown index");
+  return RunBatch(which, batch, /*on_caller=*/false);
+}
+
+StatusOr<BatchResult> QueryService::ExecuteBatchSequential(
+    ServedIndex which, const std::vector<QueryRequest>& batch) {
+  return RunBatch(which, batch, /*on_caller=*/true);
+}
+
+StatusOr<BatchResult> QueryService::RunBatch(
+    ServedIndex which, const std::vector<QueryRequest>& batch,
+    bool on_caller) {
+  ServedStructure* s = find(which);
+  if (s == nullptr) return Status::InvalidArgument("unknown index");
   BatchResult out;
   out.responses.resize(batch.size());
-  std::vector<PaddedCounters> locals(workers_->size());
-  const uint64_t id_base = next_query_id_.fetch_add(
-      batch.size(), std::memory_order_relaxed);
+  std::vector<PaddedCounters> locals(on_caller ? 1 : workers_->size());
+  const uint64_t id_base =
+      next_query_id_.fetch_add(batch.size(), std::memory_order_relaxed);
   const auto run_one = [&](uint32_t worker, uint64_t i) {
-        ScopedCounterSink sink(&locals[worker].c);
-        // Per-query descent profile, installed only when introspection is
-        // on (null install keeps the descent hooks on their one-branch
-        // disabled path). The toggle is re-read per query, so a live flip
-        // takes effect at the next query boundary.
-        const bool prof_on =
-            introspect_on_.load(std::memory_order_relaxed);
-        introspect::QueryProfile prof;
-        introspect::ScopedQueryProfile prof_scope(prof_on ? &prof : nullptr);
-        // Per-query deadline/cancel scope. Requests carrying neither leave
-        // the thread-local token null, so the descent checkpoints stay on
-        // their one-load untaken-branch path and paper metrics are
-        // byte-identical.
-        CancelToken token;
-        const bool tok_on =
-            batch[i].deadline_ns > 0 || batch[i].cancel != nullptr;
-        if (tok_on) {
-          if (batch[i].deadline_ns > 0) token.ArmBudget(batch[i].deadline_ns);
-          token.LinkParent(batch[i].cancel);
-        }
-        ScopedCancelScope cancel_scope(tok_on ? &token : nullptr);
-        // Snapshot the worker-private counters around the query so its
-        // exact metric deltas can be attributed to the span.
-        const MetricCounters before = locals[worker].c;
-        const auto t0 = std::chrono::steady_clock::now();
-        out.responses[i] = ExecuteOne(which, idx, batch[i]);
-        const auto t1 = std::chrono::steady_clock::now();
-        const uint64_t ns = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count());
-        out.responses[i].latency_ns = ns;
-        histogram(which, batch[i].type)->Record(worker, ns);
-        if (prof_on) {
-          profiles_[static_cast<size_t>(which)]
-                   [static_cast<size_t>(batch[i].type)]
-                       ->Record(worker, prof);
-        }
-        if (tracer_.enabled()) {
-          const MetricCounters d = locals[worker].c - before;
-          QuerySpan span;
-          span.query_id = id_base + i;
-          span.kind = QueryTypeName(batch[i].type);
-          span.structure = ServedIndexName(which);
-          span.latency_ns = ns;
-          span.disk_reads = d.disk_reads;
-          span.segment_comps = d.segment_comps;
-          span.bbox_comps = d.bbox_comps;
-          span.bucket_comps = d.bucket_comps;
-          span.worker = worker;
-          if (prof_on) {
-            span.has_introspect = true;
-            span.nodes_visited = prof.nodes_visited;
-            span.nodes_pruned = prof.entries_pruned();
-            span.false_leaf_reads = prof.false_leaf_reads;
-            span.false_bucket_reads = prof.false_bucket_reads;
-            span.max_depth = prof.max_depth;
-          }
-          tracer_.EmitQuerySpan(span);
-        }
+    Job job{&batch[i], &out.responses[i], id_base + i};
+    Run(*s, worker, &locals[on_caller ? 0 : worker].c, &job, 1);
   };
-  if (!options_.throughput_mode) {
+  if (on_caller) {
+    MutexLock lk(caller_mu_);
+    for (size_t i = 0; i < batch.size(); ++i) run_one(workers_->size(), i);
+  } else if (!options_.throughput_mode) {
     workers_->ParallelFor(batch.size(), run_one);
   } else {
-    // -- Throughput mode ----------------------------------------------------
-    // Window and point queries without deadline/cancel tokens are grouped
-    // and executed through the shared multi-window descent; everything else
-    // (nearest, incident, token-carrying requests) keeps the per-query path
-    // so cancellation checkpoints fire exactly as in the default mode.
-    std::vector<uint32_t> grouped, solo;
+    // Throughput mode: window and point queries without deadline/cancel
+    // tokens are grouped into shared multi-window descents; everything
+    // else (nearest, incident, token-carrying requests) keeps the
+    // per-query path so cancellation checkpoints fire exactly as in the
+    // default mode.
+    std::vector<Job> grouped;
+    std::vector<uint32_t> solo;
     grouped.reserve(batch.size());
     for (uint32_t i = 0; i < batch.size(); ++i) {
       const QueryRequest& q = batch[i];
-      const bool groupable =
-          (q.type == QueryType::kWindow || q.type == QueryType::kPoint) &&
-          q.deadline_ns == 0 && q.cancel == nullptr;
-      (groupable ? grouped : solo).push_back(i);
+      if ((q.type == QueryType::kWindow || q.type == QueryType::kPoint) &&
+          q.deadline_ns == 0 && q.cancel == nullptr) {
+        grouped.push_back(Job{&q, &out.responses[i], id_base + i});
+      } else {
+        solo.push_back(i);
+      }
     }
-    // Sort groups by the Hilbert index of the window center: windows close
-    // on the curve descend the same subtrees, so the contiguous chunk each
-    // worker takes shares node visits ("one pinned node answers many
-    // windows per visit").
+    // Sort by the Hilbert index of the window center: windows close on the
+    // curve descend the same subtrees, so the contiguous chunk each worker
+    // takes shares node visits.
     std::stable_sort(grouped.begin(), grouped.end(),
-                     [&](uint32_t a, uint32_t b) {
-                       return GroupedWindowKey(batch[a]) <
-                              GroupedWindowKey(batch[b]);
+                     [](const Job& a, const Job& b) {
+                       return GroupedWindowKey(*a.request) <
+                              GroupedWindowKey(*b.request);
                      });
-    if (!grouped.empty()) {
-      const uint32_t nchunks = static_cast<uint32_t>(
-          std::min<size_t>(workers_->size(), grouped.size()));
-      CircuitBreaker& breaker = breakers_[static_cast<size_t>(which)];
-      workers_->ParallelFor(nchunks, [&](uint32_t worker, uint64_t c) {
-        ScopedCounterSink sink(&locals[worker].c);
-        const size_t begin = grouped.size() * c / nchunks;
-        const size_t end = grouped.size() * (c + 1) / nchunks;
-        std::vector<Rect> ws;
-        std::vector<uint32_t> ids;  // Original request index per window.
-        ws.reserve(end - begin);
-        ids.reserve(end - begin);
-        for (size_t k = begin; k < end; ++k) {
-          const uint32_t i = grouped[k];
-          // One breaker ticket per request, exactly as ExecuteOne takes.
-          if (!breaker.AllowRequest()) {
-            out.responses[i].status = Status::Unavailable(
-                std::string(ServedIndexName(which)) +
-                " index degraded: breaker open");
-            continue;
-          }
-          ids.push_back(i);
-          ws.push_back(batch[i].type == QueryType::kWindow
-                           ? batch[i].window
-                           : Rect::AtPoint(batch[i].point));
-        }
-        if (ids.empty()) return;
-        const auto t0 = std::chrono::steady_clock::now();
-        std::vector<std::vector<SegmentHit>> hits;
-        const Status s = idx->WindowQueryBatch(ws, &hits);
-        const auto t1 = std::chrono::steady_clock::now();
-        // The group executed as one descent; attribute the amortized share
-        // to each request (documented in DESIGN.md §15).
-        const uint64_t ns =
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                    .count()) /
-            ids.size();
-        for (size_t k = 0; k < ids.size(); ++k) {
-          const uint32_t i = ids[k];
-          QueryResponse& r = out.responses[i];
-          r.status = s;
-          if (s.ok()) r.hits = std::move(hits[k]);
-          r.latency_ns = ns;
-          histogram(which, batch[i].type)->Record(worker, ns);
-          if (CircuitBreaker::IsFailure(s)) {
-            if (breaker.RecordFailure()) {
-              tracer_.EmitHealthEvent(ServedIndexName(which), "breaker_open");
-            }
-          } else if (CircuitBreaker::IsSuccess(s)) {
-            if (breaker.RecordSuccess()) {
-              tracer_.EmitHealthEvent(ServedIndexName(which),
-                                      "breaker_closed");
-            }
-          }
-        }
-      });
-    }
-    if (!solo.empty()) {
-      workers_->ParallelFor(solo.size(), [&](uint32_t worker, uint64_t k) {
-        run_one(worker, solo[k]);
-      });
-    }
+    const uint32_t nchunks = static_cast<uint32_t>(
+        std::min<size_t>(workers_->size(), grouped.size()));
+    workers_->ParallelFor(nchunks, [&](uint32_t worker, uint64_t c) {
+      const size_t begin = grouped.size() * c / nchunks;
+      const size_t end = grouped.size() * (c + 1) / nchunks;
+      Run(*s, worker, &locals[worker].c, &grouped[begin], end - begin);
+    });
+    workers_->ParallelFor(solo.size(), [&](uint32_t worker, uint64_t k) {
+      run_one(worker, solo[k]);
+    });
   }
   out.per_worker.reserve(locals.size());
   for (const PaddedCounters& pc : locals) {
     out.per_worker.push_back(pc.c);
     out.metrics += pc.c;
   }
-  // Batch-level registry rollup: one atomic add per (kind, metric), not
-  // per query, so the per-item hot path never contends on shared counters.
-  const char* iname = ServedIndexName(which);
-  uint64_t per_kind[std::size(kAllQueryTypes)] = {};
-  for (const QueryRequest& q : batch) ++per_kind[static_cast<size_t>(q.type)];
-  for (QueryType type : kAllQueryTypes) {
-    const uint64_t n = per_kind[static_cast<size_t>(type)];
-    if (n == 0) continue;
-    stats_
-        .GetCounter(std::string("lsdb_queries_total{index=\"") + iname +
-                    "\",kind=\"" + QueryTypeName(type) + "\"}")
-        ->Add(n);
-  }
-  const std::string mlabel = std::string("{index=\"") + iname + "\"}";
-  stats_.GetCounter("lsdb_disk_reads_total" + mlabel)
-      ->Add(out.metrics.disk_reads);
-  stats_.GetCounter("lsdb_segment_comps_total" + mlabel)
-      ->Add(out.metrics.segment_comps);
-  stats_.GetCounter("lsdb_bbox_comps_total" + mlabel)
-      ->Add(out.metrics.bbox_comps);
-  stats_.GetCounter("lsdb_bucket_comps_total" + mlabel)
-      ->Add(out.metrics.bucket_comps);
-  stats_.GetCounter("lsdb_batches_total" + mlabel)->Add(1);
-  return out;
-}
-
-StatusOr<BatchResult> QueryService::ExecuteBatchSequential(
-    ServedIndex which, const std::vector<QueryRequest>& batch) {
-  SpatialIndex* idx = index(which);
-  if (idx == nullptr) return Status::InvalidArgument("unknown index");
-  BatchResult out;
-  out.responses.resize(batch.size());
-  out.per_worker.resize(1);
-  ScopedCounterSink sink(&out.per_worker[0]);
-  const bool prof_on = introspect_on_.load(std::memory_order_relaxed);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    introspect::QueryProfile prof;
-    introspect::ScopedQueryProfile prof_scope(prof_on ? &prof : nullptr);
-    CancelToken token;
-    const bool tok_on =
-        batch[i].deadline_ns > 0 || batch[i].cancel != nullptr;
-    if (tok_on) {
-      if (batch[i].deadline_ns > 0) token.ArmBudget(batch[i].deadline_ns);
-      token.LinkParent(batch[i].cancel);
-    }
-    ScopedCancelScope cancel_scope(tok_on ? &token : nullptr);
-    out.responses[i] = ExecuteOne(which, idx, batch[i]);
-    if (prof_on) {
-      // Shard 0: the sequential path never runs concurrently with itself,
-      // and the accumulator fields are relaxed atomics regardless.
-      profiles_[static_cast<size_t>(which)]
-               [static_cast<size_t>(batch[i].type)]
-                   ->Record(0, prof);
-    }
-  }
-  out.metrics += out.per_worker[0];
+  // One registry rollup per batch, not per query, so the per-item hot
+  // path never contends on shared counters.
+  s->batches_total->Add(1);
+  Tally(*s, batch.data(), batch.size(), out.metrics);
   return out;
 }
 
@@ -806,12 +679,18 @@ void QueryService::CompleteShed(AdmissionQueue::Shed&& shed) {
 
 void QueryService::SubmitQuery(ServedIndex which, const QueryRequest& q,
                                std::function<void(QueryResponse)> done) {
+  Submit(which, q, std::move(done), nullptr);
+}
+
+void QueryService::Submit(ServedIndex which, const QueryRequest& q,
+                          std::function<void(QueryResponse)> done,
+                          MetricCounters* per_worker) {
   // Brownout: while the structure's breaker is open, shed at submit
   // instead of occupying queue space behind requests that will fail
   // anyway. AllowRequest() still lets half-open probes through — those
   // carry their grant into execution via breaker_preapproved.
   bool preapproved = false;
-  CircuitBreaker& b = breakers_[static_cast<size_t>(which)];
+  CircuitBreaker& b = breaker(which);
   if (options_.admission.brownout_on_breaker && b.open()) {
     if (!b.AllowRequest()) {
       admission_->RecordShed(ShedReason::kBrownout);
@@ -820,9 +699,9 @@ void QueryService::SubmitQuery(ServedIndex which, const QueryRequest& q,
                                    ShedReasonName(ShedReason::kBrownout));
       }
       QueryResponse r;
-      r.status = Status::Unavailable(
-          std::string("shed: ") + ServedIndexName(which) +
-          " degraded (breaker open)");
+      r.status = Status::Unavailable(std::string("shed: ") +
+                                     ServedIndexName(which) +
+                                     " degraded (breaker open)");
       if (done) done(std::move(r));
       return;
     }
@@ -840,6 +719,7 @@ void QueryService::SubmitQuery(ServedIndex which, const QueryRequest& q,
   t.token->LinkParent(q.cancel);
   t.enqueued = CancelToken::Clock::now();
   t.breaker_preapproved = preapproved;
+  t.per_worker = per_worker;
   std::vector<AdmissionQueue::Shed> shed;
   const bool enqueued = admission_->Offer(std::move(t), &shed);
   for (AdmissionQueue::Shed& s : shed) CompleteShed(std::move(s));
@@ -860,40 +740,20 @@ void QueryService::DispatchOne(uint32_t worker) {
   // Drained by Close() or shed by CoDel before this task ran: nothing to
   // execute (the ticket was completed elsewhere).
   if (!have) return;
-  SpatialIndex* idx = index(t.which);
+  ServedStructure& s = served(t.which);
   QueryResponse r;
-  // Deadline check before touching the index: a ticket that burned its
-  // whole budget queueing times out here without costing a descent.
-  const Status pre = t.token->StatusNow();
-  if (!pre.ok()) {
-    r.status = pre;
-  } else {
-    // Thread-private sink: admitted queries must not mutate the frozen
-    // indexes' own counters. The per-dispatch deltas are discarded —
-    // admitted-path totals come from the registry counters below.
-    MetricCounters scratch;
-    ScopedCounterSink sink(&scratch);
-    ScopedCancelScope cancel_scope(t.token.get());
-    r = ExecuteOne(t.which, idx, t.request, t.breaker_preapproved);
-  }
-  // Latency is submit-to-completion: queueing delay is the overload
-  // signal, so it belongs in the admitted path's histograms.
-  const uint64_t ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          CancelToken::Clock::now() - t.enqueued)
-          .count());
-  r.latency_ns = ns;
-  histogram(t.which, t.request.type)->Record(worker, ns);
-  stats_
-      .GetCounter(std::string("lsdb_queries_total{index=\"") +
-                  ServedIndexName(t.which) + "\",kind=\"" +
-                  QueryTypeName(t.request.type) + "\"}")
-      ->Add(1);
+  MetricCounters m;  // This query's counters alone.
+  Job job{&t.request, &r,
+          next_query_id_.fetch_add(1, std::memory_order_relaxed),
+          t.token.get(), t.enqueued, t.breaker_preapproved};
+  Run(s, worker, &m, &job, 1);
+  Tally(s, &t.request, 1, m);
+  if (t.per_worker != nullptr) t.per_worker[worker] += m;
   if (tracer_.enabled()) {
     if (r.status.IsDeadlineExceeded()) {
-      tracer_.EmitAdmissionEvent(ServedIndexName(t.which), "timeout");
+      tracer_.EmitAdmissionEvent(s.name, "timeout");
     } else if (r.status.IsCancelled()) {
-      tracer_.EmitAdmissionEvent(ServedIndexName(t.which), "cancelled");
+      tracer_.EmitAdmissionEvent(s.name, "cancelled");
     }
   }
   admission_->OnExecuted(t.request.type, r.status);
@@ -902,27 +762,33 @@ void QueryService::DispatchOne(uint32_t worker) {
 
 StatusOr<BatchResult> QueryService::ExecuteBatchAdmitted(
     ServedIndex which, const std::vector<QueryRequest>& batch) {
-  if (index(which) == nullptr) {
+  if (find(which) == nullptr) {
     return Status::InvalidArgument("unknown index");
   }
   BatchResult out;
   out.responses.resize(batch.size());
+  out.per_worker.resize(workers_->size());
   Mutex mu("QueryService.batch_done");
   CondVar all_done;
   size_t remaining = batch.size();
   for (size_t i = 0; i < batch.size(); ++i) {
-    SubmitQuery(which, batch[i], [&, i](QueryResponse r) {
+    const auto done = [&, i](QueryResponse r) {
       MutexLock lk(mu);
       out.responses[i] = std::move(r);
       if (--remaining == 0) all_done.NotifyOne();
-    });
+    };
+    Submit(which, batch[i], done, out.per_worker.data());
   }
-  MutexLock lk(mu);
-  // Bounded by construction, not by a wait deadline: every submitted
-  // ticket is completed exactly once (executed, shed, or drained at
-  // shutdown), so `remaining` always reaches zero.
-  // NOLINTNEXTLINE(lsdb-unbounded-wait)
-  all_done.Wait(mu, [&] { return remaining == 0; });
+  {
+    MutexLock lk(mu);
+    // Bounded by construction, not by a wait deadline: every submitted
+    // ticket is completed exactly once (executed, shed, or drained at
+    // shutdown), so `remaining` always reaches zero.
+    // NOLINTNEXTLINE(lsdb-unbounded-wait)
+    all_done.Wait(mu, [&] { return remaining == 0; });
+  }
+  // Each admitted query already reached the registry as it completed.
+  for (const MetricCounters& c : out.per_worker) out.metrics += c;
   return out;
 }
 

@@ -9,9 +9,14 @@
 //
 // Concurrency model: the build is single-threaded; serving is read-only.
 // Frozen indexes reject Insert/Erase, the thread-safe BufferPool serializes
-// page access, and every worker accumulates metrics into a thread-private
-// MetricCounters via ScopedCounterSink — the index-owned counters are not
-// touched while serving, and the sequential paper harness is unaffected.
+// page access, and every query runs under a ScopedQueryContext that sends
+// its metric increments to a thread-private MetricCounters — the
+// index-owned counters are not touched while serving, and the sequential
+// paper harness is unaffected. Every entry point (ExecuteBatch, its
+// throughput-mode grouping, ExecuteBatchSequential, SubmitQuery) runs its
+// queries through one private core, so breaker tickets, timing,
+// histograms, profiles, spans and registry counters are charged the same
+// way on every path.
 //
 // The paper-replication numbers (Table 1 / Table 2) are still produced by
 // the sequential harness in lsdb/harness; this subsystem is the
@@ -154,7 +159,8 @@ class QueryService {
   [[nodiscard]] StatusOr<BatchResult> ExecuteBatch(ServedIndex which,
                                      const std::vector<QueryRequest>& batch);
 
-  /// Ground-truth execution of `batch` on the calling thread, in order.
+  /// Ground-truth execution of `batch` on the calling thread, in order:
+  /// the same core as ExecuteBatch, recorded in the caller-thread shard.
   [[nodiscard]] StatusOr<BatchResult> ExecuteBatchSequential(
       ServedIndex which, const std::vector<QueryRequest>& batch);
 
@@ -173,9 +179,9 @@ class QueryService {
 
   /// Convenience synchronous wrapper over SubmitQuery: submits the whole
   /// batch through admission and blocks until every response (executed or
-  /// shed) lands. Response i corresponds to request i. BatchResult metric
-  /// counters are NOT aggregated on this path (admitted queries run
-  /// against throwaway per-dispatch sinks); use stats() for totals.
+  /// shed) lands. Response i corresponds to request i. `metrics` and
+  /// `per_worker` hold the executed queries' counters, merged per worker
+  /// like the other batch calls.
   [[nodiscard]] StatusOr<BatchResult> ExecuteBatchAdmitted(
       ServedIndex which, const std::vector<QueryRequest>& batch);
 
@@ -193,17 +199,13 @@ class QueryService {
   /// transparent pass-through unless a plan is armed); tests use it to arm
   /// plans or kill a structure outright (FailAllReads).
   FaultInjectingPageFile* fault_injector(ServedIndex which) {
-    return injectors_[static_cast<size_t>(which)].get();
+    return served(which).injector.get();
   }
   /// The circuit breaker guarding `which`.
-  CircuitBreaker& breaker(ServedIndex which) {
-    return breakers_[static_cast<size_t>(which)];
-  }
+  CircuitBreaker& breaker(ServedIndex which) { return served(which).breaker; }
   /// True while `which`'s breaker is open (requests fail fast with
   /// kUnavailable except half-open probes).
-  bool degraded(ServedIndex which) {
-    return breakers_[static_cast<size_t>(which)].open();
-  }
+  bool degraded(ServedIndex which) { return breaker(which).open(); }
 
   // -- Observability ------------------------------------------------------
 
@@ -213,8 +215,9 @@ class QueryService {
   /// refreshed on every stats() call, so render from this accessor.
   StatsRegistry& stats();
 
-  /// Latency histogram for one structure x query kind, sharded per worker
-  /// and fed by ExecuteBatch. Merge() for percentiles.
+  /// Latency histogram for one structure x query kind, fed by every
+  /// execution path: one shard per worker plus one for the calling thread
+  /// of ExecuteBatchSequential. Merge() for percentiles.
   const LatencyHistogram& latency_histogram(ServedIndex which,
                                             QueryType type) const;
 
@@ -249,41 +252,122 @@ class QueryService {
   void EnablePageHeat();
   /// Heat map over `which`'s index pages; null until EnablePageHeat().
   const introspect::PageHeatMap* page_heat(ServedIndex which) const {
-    return heat_[static_cast<size_t>(which) + 1].get();
+    return served(which).heat.get();
   }
   /// Heat map over the shared segment-table pages; null until enabled.
   const introspect::PageHeatMap* segment_page_heat() const {
-    return heat_[0].get();
+    return seg_heat_.get();
   }
 
   /// Concrete structure accessors for offline walkers (structure x-ray,
   /// lsdb_inspect). The served structures are frozen, so walking them is
   /// safe alongside read batches.
-  RStarTree* rstar() { return rstar_.get(); }
-  RPlusTree* rplus() { return rplus_.get(); }
-  PmrQuadtree* pmr() { return pmr_.get(); }
+  RStarTree* rstar() {
+    return static_cast<RStarTree*>(index(ServedIndex::kRStar));
+  }
+  RPlusTree* rplus() {
+    return static_cast<RPlusTree*>(index(ServedIndex::kRPlus));
+  }
+  PmrQuadtree* pmr() {
+    return static_cast<PmrQuadtree*>(index(ServedIndex::kPmr));
+  }
 
  private:
+  /// Everything the service keeps for one served structure.
+  struct ServedStructure {
+    const char* name = nullptr;      ///< ServedIndexName: labels, spans.
+    /// Raw backend below the injector: in memory after a build, a
+    /// snapshot section view after OpenFromSnapshot.
+    std::unique_ptr<PageFile> file;
+    /// Fault injector between the structure's pool and `file`;
+    /// transparent until a plan is armed.
+    std::unique_ptr<FaultInjectingPageFile> injector;
+    std::unique_ptr<SpatialIndex> index;
+    CircuitBreaker breaker;
+    /// [query kind] latency histograms and profile aggregates, one shard
+    /// per worker plus the caller-thread shard.
+    std::unique_ptr<LatencyHistogram> histograms[std::size(kAllQueryTypes)];
+    std::unique_ptr<introspect::ProfileAccumulator>
+        profiles[std::size(kAllQueryTypes)];
+    /// Page heat over the index pages; null until EnablePageHeat().
+    std::unique_ptr<introspect::PageHeatMap> heat;
+    /// Registry counters, resolved once by SetUpObservability.
+    StatsRegistry::Counter* queries_total[std::size(kAllQueryTypes)] = {};
+    StatsRegistry::Counter* disk_reads_total = nullptr;
+    StatsRegistry::Counter* segment_comps_total = nullptr;
+    StatsRegistry::Counter* bbox_comps_total = nullptr;
+    StatsRegistry::Counter* bucket_comps_total = nullptr;
+    StatsRegistry::Counter* batches_total = nullptr;
+  };
+
+  /// One request as the execution core sees it. The admission path also
+  /// hands over what its ticket already settled.
+  struct Job {
+    const QueryRequest* request;
+    QueryResponse* response;
+    uint64_t id;  ///< Trace span id.
+    /// Admitted path: the token armed at submit, also the signal that
+    /// latency runs from `enqueued` (submit-to-completion).
+    CancelToken* token = nullptr;
+    CancelToken::Clock::time_point enqueued{};
+    bool breaker_preapproved = false;
+  };
+
   explicit QueryService(const ServiceOptions& options);
+
+  ServedStructure& served(ServedIndex which) {
+    return served_[static_cast<size_t>(which)];
+  }
+  const ServedStructure& served(ServedIndex which) const {
+    return served_[static_cast<size_t>(which)];
+  }
+  /// Null for an out-of-range `which` (callers report InvalidArgument).
+  ServedStructure* find(ServedIndex which) {
+    const size_t i = static_cast<size_t>(which);
+    return i < std::size(served_) ? &served_[i] : nullptr;
+  }
 
   [[nodiscard]] Status BuildIndexes(const PolygonalMap& map);
   [[nodiscard]] Status OpenIndexesFromSnapshot(bool zero_copy);
-  void ArmFaultInjectors();
+  /// Puts the shared segment table's pool over `seg_file_` (and Open()s
+  /// the table on a snapshot).
+  [[nodiscard]] Status OpenSegments(bool open);
+  /// Wraps each structure's `file` in its injector and constructs the
+  /// typed trees on them (Open() on a snapshot, Init() on a build).
+  [[nodiscard]] Status MakeStructures(bool open);
+  /// Freezes every structure, builds the throughput-mode caches, and arms
+  /// the fault injectors — the shared tail of both startup paths.
+  [[nodiscard]] Status FreezeForServing();
   [[nodiscard]] Status SetUpObservability();
   void RefreshGauges();
-  QueryResponse ExecuteOne(ServedIndex which, SpatialIndex* idx,
-                           const QueryRequest& q,
-                           bool breaker_preapproved = false);
-  /// Worker-side body of the admission path: takes the next ticket,
-  /// completes CoDel sheds, runs the query under its cancel scope.
+
+  /// The execution core. Runs `jobs[0..n)` on the calling thread as
+  /// histogram/profile shard `shard`, with metric increments sent to
+  /// `*counters`: one job runs as its own query, several as one shared
+  /// grouped descent (throughput mode). Takes each job's breaker ticket,
+  /// installs its QueryContext, times it, settles the breaker, and
+  /// records its histogram sample, profile and trace span.
+  void Run(ServedStructure& s, uint32_t shard, MetricCounters* counters,
+           Job* jobs, size_t n);
+  /// ExecuteBatch across the workers, or (`on_caller`)
+  /// ExecuteBatchSequential on the calling thread.
+  [[nodiscard]] StatusOr<BatchResult> RunBatch(
+      ServedIndex which, const std::vector<QueryRequest>& batch,
+      bool on_caller);
+  /// SubmitQuery with the caller's per-worker metric slots (see
+  /// AdmissionQueue::Ticket::per_worker).
+  void Submit(ServedIndex which, const QueryRequest& q,
+              std::function<void(QueryResponse)> done,
+              MetricCounters* per_worker);
+  /// Runs one admission ticket through the core on `worker`.
   void DispatchOne(uint32_t worker);
   /// Completes a shed ticket with Unavailable (Cancelled for kShutdown)
   /// and settles its admission accounting.
   void CompleteShed(AdmissionQueue::Shed&& shed);
-  LatencyHistogram* histogram(ServedIndex which, QueryType type) {
-    return histograms_[static_cast<size_t>(which)][static_cast<size_t>(type)]
-        .get();
-  }
+  /// Adds `requests[0..n)` to the query counts and `m` to the metric
+  /// totals in the registry.
+  static void Tally(ServedStructure& s, const QueryRequest* requests,
+                    size_t n, const MetricCounters& m);
 
   ServiceOptions options_;
 
@@ -292,47 +376,31 @@ class QueryService {
   /// must be destroyed last (members destruct in reverse order).
   std::unique_ptr<snapshot::SnapshotReader> snapshot_;
   bool snapshot_zero_copy_ = false;
-  /// [segments, R*, R+, PMR] borrowed view pointers for the obs gauges;
-  /// null unless from_snapshot(). Owned via the *_file_ members below.
-  MmapPageFile* snapshot_views_[4] = {};
 
   std::unique_ptr<PageFile> seg_file_;
   std::unique_ptr<BufferPool> seg_pool_;
   std::unique_ptr<SegmentTable> segs_;
+  std::unique_ptr<introspect::PageHeatMap> seg_heat_;
 
-  std::unique_ptr<PageFile> rstar_file_, rplus_file_, pmr_file_;
-  /// [ServedIndex] fault injectors between each structure's pool and its
-  /// backing file; transparent until a plan is armed.
-  std::unique_ptr<FaultInjectingPageFile>
-      injectors_[std::size(kAllServedIndexes)];
-  std::unique_ptr<RStarTree> rstar_;
-  std::unique_ptr<RPlusTree> rplus_;
-  std::unique_ptr<PmrQuadtree> pmr_;
-  /// [ServedIndex] per-structure degradation breakers.
-  CircuitBreaker breakers_[std::size(kAllServedIndexes)];
+  /// [ServedIndex] the served structures.
+  ServedStructure served_[std::size(kAllServedIndexes)];
 
   std::unique_ptr<WorkerPool> workers_;
   /// Bounded admission queue for the SubmitQuery path. Closed and drained
   /// explicitly in ~QueryService BEFORE workers_ is reset, because
   /// dispatch tasks queued in the pool dereference it.
   std::unique_ptr<AdmissionQueue> admission_;
+  /// Serializes ExecuteBatchSequential callers: the caller-thread
+  /// histogram shard is single-writer like the worker shards.
+  Mutex caller_mu_{"QueryService.caller_mu"};
 
   // Observability state (per service instance; see SetUpObservability).
   StatsRegistry stats_;
   Tracer tracer_;
-  /// [structure][query kind] latency histograms, shards == worker count.
-  std::unique_ptr<LatencyHistogram>
-      histograms_[std::size(kAllServedIndexes)][std::size(kAllQueryTypes)];
   std::atomic<uint64_t> next_query_id_{0};  ///< Trace span ids.
 
   // Introspection state (see set_introspection / EnablePageHeat).
   std::atomic<bool> introspect_on_{false};
-  /// [structure][query kind] profile aggregates, shards == worker count.
-  std::unique_ptr<introspect::ProfileAccumulator>
-      profiles_[std::size(kAllServedIndexes)][std::size(kAllQueryTypes)];
-  /// [segments, R*, R+, PMR] page heat maps; null until EnablePageHeat().
-  std::unique_ptr<introspect::PageHeatMap>
-      heat_[std::size(kAllServedIndexes) + 1];
 };
 
 }  // namespace lsdb

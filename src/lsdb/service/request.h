@@ -77,8 +77,9 @@ struct QueryResponse {
   Status status;
   std::vector<SegmentHit> hits;  ///< kPoint / kWindow / kIncident.
   NearestResult nearest;         ///< kNearest (meaningful when status ok).
-  /// Wall time this query spent executing (observability only; filled by
-  /// ExecuteBatch, 0 from the sequential ground-truth path).
+  /// Wall time this query spent executing (observability only; every
+  /// path fills it — on the admission path it runs from submit). Grouped
+  /// throughput-mode requests carry their group's amortized share.
   uint64_t latency_ns = 0;
 };
 

@@ -1,4 +1,5 @@
-// Metric counters for the paper's three measured quantities.
+// Metric counters for the paper's three measured quantities, and the
+// per-query context that redirects them.
 //
 // The SIGMOD'92 study reports, per query workload and per structure:
 //   * disk accesses        — buffer-pool read misses + dirty write-backs,
@@ -8,10 +9,10 @@
 //
 // Counters stay plain (non-atomic): the paper harness is single-threaded,
 // matching the original study. Concurrent serving (lsdb/service) instead
-// installs a ScopedCounterSink per worker thread, which redirects every
+// installs a ScopedQueryContext around each query, which redirects every
 // increment made by that thread into a thread-private MetricCounters that
-// the service merges after the batch. With no sink installed, increments go
-// to the structure-owned counters exactly as before.
+// the service merges after the batch. With no redirect installed,
+// increments go to the structure-owned counters exactly as before.
 
 #ifndef LSDB_UTIL_COUNTERS_H_
 #define LSDB_UTIL_COUNTERS_H_
@@ -42,17 +43,36 @@ struct MetricCounters {
   std::string ToString() const;
 };
 
+namespace introspect {
+struct QueryProfile;  // introspect/profiler.h
+}  // namespace introspect
+class CancelToken;  // service/cancel.h
+
+/// Per-query state a thread redirects while it runs one query: where the
+/// metric increments land, what the descent profile records into, and the
+/// token the cancellation checkpoints poll. It is kept apart from the
+/// structures, which every query shares (audioDB's adb_qstate_internal
+/// split). A null field means no redirect: increments go to the
+/// structure-owned counters, profiling is off, checkpoints are untaken.
+struct QueryContext {
+  MetricCounters* counters = nullptr;
+  introspect::QueryProfile* profile = nullptr;
+  CancelToken* cancel = nullptr;
+};
+
 namespace internal {
-/// Active per-thread redirect target (null = no redirect). Owned by
-/// ScopedCounterSink; never touch directly outside counters.h.
-inline thread_local MetricCounters* tls_counter_sink = nullptr;
+/// The calling thread's active context, held by value so every hook
+/// (CounterSink, ThreadProfile, ThreadCancelToken) is one thread-local
+/// load and one branch. Owned by ScopedQueryContext; never touch it
+/// directly outside the three accessors.
+inline constinit thread_local QueryContext tls_query_context;
 }  // namespace internal
 
-/// Resolves the counter target for the calling thread: the thread's active
-/// sink if a ScopedCounterSink is installed, else `fallback` (which may be
-/// null, meaning "drop the increment").
+/// Resolves the counter target for the calling thread: the installed
+/// context's counters if any, else `fallback` (which may be null, meaning
+/// "drop the increment").
 inline MetricCounters* CounterSink(MetricCounters* fallback) {
-  MetricCounters* t = internal::tls_counter_sink;
+  MetricCounters* t = internal::tls_query_context.counters;
   return t != nullptr ? t : fallback;
 }
 
@@ -61,25 +81,34 @@ inline MetricCounters& CounterSink(MetricCounters& fallback) {
   return *CounterSink(&fallback);
 }
 
-/// RAII redirect: while alive, every metric increment performed by the
-/// constructing thread — across all indexes, buffer pools, and segment
-/// tables it touches — is accumulated into `local` instead of the
-/// structure-owned counters. Scopes nest (the innermost wins) and must be
+/// RAII install of a QueryContext on the constructing thread: while alive,
+/// every metric increment, profiler hook and cancellation checkpoint on
+/// this thread — across all indexes, buffer pools and segment tables it
+/// touches — uses the installed context. Scopes nest (the innermost wins,
+/// and destruction restores the enclosing context whole) and must be
 /// destroyed on the thread that created them.
-class ScopedCounterSink {
+class ScopedQueryContext {
  public:
-  explicit ScopedCounterSink(MetricCounters* local)
-      : prev_(internal::tls_counter_sink) {
-    internal::tls_counter_sink = local;
+  explicit ScopedQueryContext(const QueryContext& ctx)
+      : prev_(internal::tls_query_context) {
+    internal::tls_query_context = ctx;
   }
-  ~ScopedCounterSink() { internal::tls_counter_sink = prev_; }
+  /// Counters-only redirect: keeps the enclosing profile and token.
+  explicit ScopedQueryContext(MetricCounters* counters)
+      : prev_(internal::tls_query_context) {
+    internal::tls_query_context.counters = counters;
+  }
+  ~ScopedQueryContext() { internal::tls_query_context = prev_; }
 
-  ScopedCounterSink(const ScopedCounterSink&) = delete;
-  ScopedCounterSink& operator=(const ScopedCounterSink&) = delete;
+  ScopedQueryContext(const ScopedQueryContext&) = delete;
+  ScopedQueryContext& operator=(const ScopedQueryContext&) = delete;
 
  private:
-  MetricCounters* prev_;
+  QueryContext prev_;
 };
+
+/// The counters-only spelling, for build-time scratch redirects.
+using ScopedCounterSink = ScopedQueryContext;
 
 }  // namespace lsdb
 

@@ -28,7 +28,6 @@ namespace {
 using introspect::PageHeatMap;
 using introspect::ProfileAccumulator;
 using introspect::QueryProfile;
-using introspect::ScopedQueryProfile;
 
 PolygonalMap SmallMap(uint64_t seed = 11) {
   CountyProfile p;
@@ -72,7 +71,7 @@ std::vector<QueryRequest> MixedBatch(const PolygonalMap& map, size_t n,
 }
 
 // ---------------------------------------------------------------------------
-// QueryProfile + ScopedQueryProfile (thread-local plumbing)
+// QueryProfile (thread-local plumbing, installed through ScopedQueryContext)
 
 TEST(IntrospectTest, ProfilingIsOffByDefaultAndHooksAreNoops) {
   EXPECT_EQ(introspect::ThreadProfile(), nullptr);
@@ -86,18 +85,18 @@ TEST(IntrospectTest, ProfilingIsOffByDefaultAndHooksAreNoops) {
 TEST(IntrospectTest, ScopedProfileInstallsNestsAndRestores) {
   QueryProfile outer, inner;
   {
-    ScopedQueryProfile s1(&outer);
+    ScopedQueryContext s1({.profile = &outer});
     EXPECT_EQ(introspect::ThreadProfile(), &outer);
     {
-      ScopedQueryProfile s2(&inner);
+      ScopedQueryContext s2({.profile = &inner});
       EXPECT_EQ(introspect::ThreadProfile(), &inner);
       LSDB_INTROSPECT(OnNode(0, false, 4, 2, 0));
     }
     EXPECT_EQ(introspect::ThreadProfile(), &outer);
     {
-      // A null scope forces profiling OFF even inside an active scope —
+      // A null context forces profiling OFF even inside an active scope —
       // the service uses this to honor a live toggle per query.
-      ScopedQueryProfile s3(nullptr);
+      ScopedQueryContext s3(QueryContext{});
       EXPECT_EQ(introspect::ThreadProfile(), nullptr);
       LSDB_INTROSPECT(OnNode(0, false, 100, 100, 0));
     }

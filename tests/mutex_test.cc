@@ -257,10 +257,11 @@ TEST(LockRegistryTest, TryLockFeedsOrderGraph) {
 
 #endif  // LSDB_LOCK_DEBUG
 
-// The three TLS redirect guards save their thread's previous slot value
-// and restore it on destruction; nested scopes must restore the *outer
-// redirect*, not null. These pins back the lsdb-tls-redirect-pairing
-// lint rule with runtime evidence.
+// ScopedQueryContext saves its thread's whole previous context and
+// restores it on destruction; nested scopes must restore the *outer*
+// counters, profile and token, not null. These pins back the
+// lsdb-tls-redirect-pairing lint rule with runtime evidence: one per
+// redirected slot, then all three together.
 
 TEST(TlsRedirectGuardTest, CounterSinkNestingRestoresPrevious) {
   MetricCounters fallback;
@@ -292,10 +293,10 @@ TEST(TlsRedirectGuardTest, QueryProfileNestingRestoresPrevious) {
   introspect::QueryProfile inner;
   EXPECT_EQ(introspect::ThreadProfile(), nullptr);
   {
-    introspect::ScopedQueryProfile s1(&outer);
+    ScopedQueryContext s1({.profile = &outer});
     EXPECT_EQ(introspect::ThreadProfile(), &outer);
     {
-      introspect::ScopedQueryProfile s2(&inner);
+      ScopedQueryContext s2({.profile = &inner});
       EXPECT_EQ(introspect::ThreadProfile(), &inner);
     }
     EXPECT_EQ(introspect::ThreadProfile(), &outer);
@@ -308,15 +309,62 @@ TEST(TlsRedirectGuardTest, CancelScopeNestingRestoresPrevious) {
   CancelToken inner;
   EXPECT_EQ(ThreadCancelToken(), nullptr);
   {
-    ScopedCancelScope s1(&outer);
+    ScopedQueryContext s1({.cancel = &outer});
     EXPECT_EQ(ThreadCancelToken(), &outer);
     {
-      ScopedCancelScope s2(&inner);
+      ScopedQueryContext s2({.cancel = &inner});
       EXPECT_EQ(ThreadCancelToken(), &inner);
     }
     EXPECT_EQ(ThreadCancelToken(), &outer);
   }
   EXPECT_EQ(ThreadCancelToken(), nullptr);
+}
+
+TEST(TlsRedirectGuardTest, NestedScopeRestoresOuterContext) {
+  MetricCounters fallback, outer_c, inner_c;
+  introspect::QueryProfile outer_p, inner_p;
+  CancelToken outer_t, inner_t;
+  const auto expect_context = [&](MetricCounters* c,
+                                  introspect::QueryProfile* p,
+                                  CancelToken* t) {
+    EXPECT_EQ(CounterSink(&fallback), c);
+    EXPECT_EQ(introspect::ThreadProfile(), p);
+    EXPECT_EQ(ThreadCancelToken(), t);
+  };
+  expect_context(&fallback, nullptr, nullptr);
+  {
+    ScopedQueryContext outer({&outer_c, &outer_p, &outer_t});
+    expect_context(&outer_c, &outer_p, &outer_t);
+    LSDB_INTROSPECT(OnNode(1, true, 8, 3, 2));
+    {
+      ScopedQueryContext inner({&inner_c, &inner_p, &inner_t});
+      expect_context(&inner_c, &inner_p, &inner_t);
+      LSDB_INTROSPECT(OnNode(0, false, 4, 2, 0));
+    }
+    expect_context(&outer_c, &outer_p, &outer_t);
+    {
+      // A null context turns every redirect off: increments reach the
+      // fallback, hooks record nowhere, checkpoints are untaken...
+      ScopedQueryContext off(QueryContext{});
+      expect_context(&fallback, nullptr, nullptr);
+      LSDB_INTROSPECT(OnNode(0, false, 100, 100, 0));
+    }
+    expect_context(&outer_c, &outer_p, &outer_t);
+    {
+      // ...and the counters-only form keeps the enclosing profile and
+      // token.
+      ScopedCounterSink counters_only(&inner_c);
+      expect_context(&inner_c, &outer_p, &outer_t);
+    }
+    // Unwinding every nested scope still restores the outer context.
+    expect_context(&outer_c, &outer_p, &outer_t);
+  }
+  expect_context(&fallback, nullptr, nullptr);
+  EXPECT_EQ(inner_p.nodes_visited, 1u);
+  EXPECT_EQ(inner_p.entries_scanned, 4u);
+  EXPECT_EQ(outer_p.nodes_visited, 1u);  // the null window recorded nowhere
+  EXPECT_EQ(outer_p.entries_scanned, 8u);
+  EXPECT_EQ(outer_p.results, 2u);
 }
 
 TEST(TlsRedirectGuardTest, GuardsAreThreadLocal) {

@@ -121,13 +121,13 @@ TEST(CancelTokenTest, ScopedCancelScopeInstallsAndRestoresNested) {
   EXPECT_EQ(ThreadCancelToken(), nullptr);
   CancelToken outer, inner;
   {
-    ScopedCancelScope a(&outer);
+    ScopedQueryContext a({.cancel = &outer});
     EXPECT_EQ(ThreadCancelToken(), &outer);
     {
-      ScopedCancelScope b(&inner);
+      ScopedQueryContext b({.cancel = &inner});
       EXPECT_EQ(ThreadCancelToken(), &inner);
-      // A null scope disables checkpoints for a nested region.
-      ScopedCancelScope c(nullptr);
+      // A null context disables checkpoints for a nested region.
+      ScopedQueryContext c(QueryContext{});
       EXPECT_EQ(ThreadCancelToken(), nullptr);
     }
     EXPECT_EQ(ThreadCancelToken(), &outer);
@@ -396,7 +396,7 @@ TEST(BufferPoolCancelTest, DeadlineExpiryDuringPinWaitUnblocksPromptly) {
   std::thread waiter([&] {
     CancelToken tok;
     tok.ArmBudget(50'000'000);  // 50 ms, far below kExhaustedWaitMs
-    ScopedCancelScope scope(&tok);
+    ScopedQueryContext scope({.cancel = &tok});
     const auto start = std::chrono::steady_clock::now();
     auto r = pool.Fetch(id1);
     elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -438,7 +438,7 @@ TEST(BufferPoolCancelTest, CrossThreadCancelUnparksPinWait) {
   CancelToken tok;  // no deadline: only the cancel flag can unpark it
   Status got = Status::OK();
   std::thread waiter([&] {
-    ScopedCancelScope scope(&tok);
+    ScopedQueryContext scope({.cancel = &tok});
     auto r = pool.Fetch(id1);
     got = r.ok() ? Status::OK() : r.status();
   });

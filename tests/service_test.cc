@@ -410,5 +410,139 @@ TEST_F(ServiceRobustnessTest, InjectionOffLeavesServingFaultFree) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Every execution path answers and accounts the same way: the four entry
+// points run their queries through one core, so each request gets exactly
+// one trace span, one histogram sample and one lsdb_queries_total
+// increment, whichever path served it.
+
+enum class ServePath { kBatch, kThroughput, kSequential, kAdmitted };
+
+const char* ServePathName(ServePath p) {
+  switch (p) {
+    case ServePath::kBatch:
+      return "Batch";
+    case ServePath::kThroughput:
+      return "Throughput";
+    case ServePath::kSequential:
+      return "Sequential";
+    case ServePath::kAdmitted:
+      return "Admitted";
+  }
+  return "?";
+}
+
+using ServePathParam = std::tuple<ServePath, ServedIndex>;
+
+std::string ServicePathTestName(
+    const ::testing::TestParamInfo<ServePathParam>& info) {
+  static constexpr const char* kIndexNames[] = {"RStar", "RPlus", "Pmr"};
+  return std::string(ServePathName(std::get<0>(info.param))) + "_" +
+         kIndexNames[static_cast<size_t>(std::get<1>(info.param))];
+}
+
+class ServicePathTest : public ::testing::TestWithParam<ServePathParam> {};
+
+TEST_P(ServicePathTest, SameAnswersSpansSamplesAndCounts) {
+  const auto [path, which] = GetParam();
+  const PolygonalMap map = SmallMap();
+  const auto batch = MixedBatch(map, 200, 17);
+  uint64_t per_kind[std::size(kAllQueryTypes)] = {};
+  for (const QueryRequest& q : batch) ++per_kind[static_cast<size_t>(q.type)];
+
+  ServiceOptions opt;
+  opt.num_threads = 2;
+  opt.bulk_build = true;
+  opt.introspect = true;
+  // Ground truth: the sequential path on an identically built service.
+  auto ref = QueryService::Build(map, opt);
+  ASSERT_TRUE(ref.ok());
+  auto truth = (*ref)->ExecuteBatchSequential(which, batch);
+  ASSERT_TRUE(truth.ok());
+
+  opt.throughput_mode = path == ServePath::kThroughput;
+  auto svc = QueryService::Build(map, opt);
+  ASSERT_TRUE(svc.ok());
+  std::ostringstream trace;
+  (*svc)->tracer().AttachStream(&trace);
+  StatusOr<BatchResult> res = Status::Internal("unset");
+  switch (path) {
+    case ServePath::kBatch:
+    case ServePath::kThroughput:
+      res = (*svc)->ExecuteBatch(which, batch);
+      break;
+    case ServePath::kSequential:
+      res = (*svc)->ExecuteBatchSequential(which, batch);
+      break;
+    case ServePath::kAdmitted:
+      res = (*svc)->ExecuteBatchAdmitted(which, batch);
+      break;
+  }
+  ASSERT_TRUE(res.ok());
+  EXPECT_TRUE(SameResponses(*res, *truth));
+  (*svc)->tracer().Close();
+
+  size_t spans = 0;
+  std::istringstream lines(trace.str());
+  for (std::string line; std::getline(lines, line);) {
+    spans += line.find("\"event\":\"span\"") != std::string::npos;
+  }
+  EXPECT_EQ(spans, batch.size());
+
+  StatsRegistry& stats = (*svc)->stats();
+  MetricCounters from_registry;
+  const std::string index = std::string("{index=\"") + ServedIndexName(which);
+  for (QueryType type : kAllQueryTypes) {
+    const uint64_t n = per_kind[static_cast<size_t>(type)];
+    EXPECT_EQ((*svc)->latency_histogram(which, type).Merge().count, n)
+        << QueryTypeName(type);
+    EXPECT_EQ(stats
+                  .GetCounter("lsdb_queries_total" + index + "\",kind=\"" +
+                              QueryTypeName(type) + "\"}")
+                  ->value(),
+              n)
+        << QueryTypeName(type);
+  }
+  from_registry.segment_comps =
+      stats.GetCounter("lsdb_segment_comps_total" + index + "\"}")->value();
+  from_registry.bbox_comps =
+      stats.GetCounter("lsdb_bbox_comps_total" + index + "\"}")->value();
+  from_registry.bucket_comps =
+      stats.GetCounter("lsdb_bucket_comps_total" + index + "\"}")->value();
+
+  // The grouped path's shared descent counts nodes and comparisons once
+  // for many windows (DESIGN.md §15), so only the per-query paths must
+  // charge exactly what the sequential ground truth charges. disk_reads
+  // is left out everywhere: it depends on the buffer pools' LRU state,
+  // which differs between services and worker interleavings.
+  if (path == ServePath::kThroughput) return;
+  EXPECT_EQ(res->metrics.segment_comps, truth->metrics.segment_comps);
+  EXPECT_EQ(res->metrics.bbox_comps, truth->metrics.bbox_comps);
+  EXPECT_EQ(res->metrics.bucket_comps, truth->metrics.bucket_comps);
+  EXPECT_EQ(from_registry.segment_comps, truth->metrics.segment_comps);
+  EXPECT_EQ(from_registry.bbox_comps, truth->metrics.bbox_comps);
+  EXPECT_EQ(from_registry.bucket_comps, truth->metrics.bucket_comps);
+  MetricCounters per_worker_sum;
+  for (const MetricCounters& c : res->per_worker) per_worker_sum += c;
+  EXPECT_EQ(per_worker_sum.ToString(), res->metrics.ToString());
+  for (QueryType type : kAllQueryTypes) {
+    const auto got = (*svc)->profile_summary(which, type);
+    const auto want = (*ref)->profile_summary(which, type);
+    EXPECT_EQ(got.queries, per_kind[static_cast<size_t>(type)]);
+    EXPECT_EQ(got.queries, want.queries);
+    EXPECT_EQ(got.totals.nodes_visited, want.totals.nodes_visited)
+        << QueryTypeName(type);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, ServicePathTest,
+    ::testing::Combine(::testing::Values(ServePath::kBatch,
+                                         ServePath::kThroughput,
+                                         ServePath::kSequential,
+                                         ServePath::kAdmitted),
+                       ::testing::ValuesIn(kAllServedIndexes)),
+    ServicePathTestName);
+
 }  // namespace
 }  // namespace lsdb

@@ -1,6 +1,6 @@
 // lsdb-lint-pretend-path: src/lsdb/rtree/rstar_tree.cc
 // Golden-bad fixture: MetricCounters fields mutated without CounterSink,
-// which would make the paper metrics invisible to ScopedCounterSink.
+// which would make the paper metrics invisible to ScopedQueryContext.
 // Not compiled — scanned by lsdb_lint in the lint_fixture_* ctests.
 
 #include "lsdb/util/counters.h"

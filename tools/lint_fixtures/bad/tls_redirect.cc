@@ -1,6 +1,7 @@
 // lsdb-lint-pretend-path: src/lsdb/service/query_service.cc
-// Golden-bad fixture: TLS redirect guards held in non-scoped storage.
-// Each guard saves a thread_local slot in its constructor and restores
+// Golden-bad fixture: the TLS redirect guard held in non-scoped storage.
+// ScopedQueryContext (and its counters-only alias ScopedCounterSink)
+// saves the thread_local query context in its constructor and restores
 // it in its destructor; anything that decouples destruction from block
 // scope (heap, static, containers) corrupts the LIFO save/restore chain
 // for every later frame on the thread.
@@ -9,23 +10,22 @@
 #include <memory>
 #include <vector>
 
-#include "lsdb/service/cancel.h"
 #include "lsdb/util/counters.h"
 
 namespace lsdb {
 
 struct BadHolder {
   // Heap storage: destructor order is whatever the owner decides.
-  std::unique_ptr<ScopedCounterSink> sink =
-      std::make_unique<ScopedCounterSink>(nullptr);
-  ScopedQueryProfile* profile = new ScopedQueryProfile(nullptr);
+  std::unique_ptr<ScopedQueryContext> context =
+      std::make_unique<ScopedQueryContext>(QueryContext{});
+  ScopedCounterSink* sink = new ScopedCounterSink(nullptr);
 };
 
 void BadStatic() {
   // Static storage: restored at process exit, on some other thread.
-  static ScopedCancelScope scope(nullptr);
+  static ScopedQueryContext scope(QueryContext{});
   thread_local ScopedCounterSink sink(nullptr);
-  std::vector<ScopedQueryProfile> profiles;
+  std::vector<ScopedQueryContext> contexts;
 }
 
 }  // namespace lsdb

@@ -5,6 +5,7 @@
 // the justified-escape count on stderr (which is not a finding).
 // Not compiled — scanned by lsdb_lint in the lint_fixture_* ctests.
 
+#include "lsdb/service/cancel.h"
 #include "lsdb/util/counters.h"
 #include "lsdb/util/mutex.h"
 #include "lsdb/util/thread_annotations.h"
@@ -27,9 +28,12 @@ class GoodQueue {
   int last_ LSDB_GUARDED_BY(mu_) = 0;
 };
 
-void GoodRedirect(MetricCounters* local) {
-  // Block-scoped stack object: destruction order mirrors scope order.
-  ScopedCounterSink sink(local);
+void GoodRedirect(MetricCounters* local, CancelToken* token) {
+  // Block-scoped stack objects: destruction order mirrors scope order.
+  ScopedQueryContext context({.counters = local, .cancel = token});
+  {
+    ScopedCounterSink counters_only(nullptr);
+  }
 }
 
 }  // namespace lsdb

@@ -23,7 +23,7 @@
 //   lsdb-counter-mutation  MetricCounters fields may only be mutated
 //                          through CounterSink(...) (or inside
 //                          util/counters.*), keeping the paper metrics
-//                          redirectable per thread by ScopedCounterSink.
+//                          redirectable per thread by ScopedQueryContext.
 //   lsdb-determinism       no rand()/time()/wall-clock in src/lsdb outside
 //                          obs/ — paper experiments must replay bit-exact.
 //                          std::chrono::steady_clock (monotonic latency
@@ -69,9 +69,9 @@
 //                          feed the runtime lock-order verifier; a raw
 //                          primitive is invisible to both.
 //   lsdb-tls-redirect-pairing
-//                          the TLS redirect guards — ScopedCounterSink,
-//                          ScopedQueryProfile, ScopedCancelScope — may
-//                          only live as scoped stack objects. Heap- or
+//                          the TLS redirect guard — ScopedQueryContext,
+//                          also spelled ScopedCounterSink — may only
+//                          live as a scoped stack object. Heap- or
 //                          static-allocating one (new / make_unique /
 //                          static / thread_local) decouples restore from
 //                          scope exit: the TLS slot then dangles or leaks
@@ -677,7 +677,7 @@ void CheckCounterMutation(const std::string& path,
               {path, i + 1, kRule,
                "direct mutation of MetricCounters field '" + field +
                    "'; route increments through CounterSink(...) so "
-                   "ScopedCounterSink can redirect them"});
+                   "ScopedQueryContext can redirect them"});
           flagged = true;
         }
         pos = line.find(field, pos + 1);
@@ -819,7 +819,7 @@ void CheckHotCounterInDescent(const std::string& path,
   // Direct access to the thread-local profiling target. Descent TUs never
   // need it: the macro performs the load-and-test itself.
   static const std::vector<std::string> kTlsTokens = {
-      "ThreadProfile", "tls_query_profile",
+      "ThreadProfile", "tls_query_context",
   };
   // Paren depth inside an LSDB_INTROSPECT(...) argument list; hook names
   // on a wrapped continuation line are still guarded.
@@ -1108,10 +1108,10 @@ void CheckRawMutex(const std::string& path,
   }
 }
 
-// lsdb-tls-redirect-pairing: the TLS redirect guards (ScopedCounterSink,
-// ScopedQueryProfile, ScopedCancelScope) save a thread-local slot in their
-// constructor and restore it in their destructor, so correctness depends
-// on strict LIFO nesting on one thread. Heap or static storage decouples
+// lsdb-tls-redirect-pairing: the TLS redirect guard (ScopedQueryContext,
+// and its counters-only alias ScopedCounterSink) saves the thread-local
+// query context in its constructor and restores it in its destructor, so
+// correctness depends on strict LIFO nesting on one thread. Heap or static storage decouples
 // destruction order from scope order and silently corrupts the redirect
 // chain for every later frame on the thread.
 void CheckTlsRedirectPairing(const std::string& path,
@@ -1120,7 +1120,7 @@ void CheckTlsRedirectPairing(const std::string& path,
                              std::vector<Finding>* findings) {
   const std::string kRule = "lsdb-tls-redirect-pairing";
   static const std::vector<std::string> kGuards = {
-      "ScopedCounterSink", "ScopedQueryProfile", "ScopedCancelScope"};
+      "ScopedQueryContext", "ScopedCounterSink"};
   // Storage forms that break scope-paired destruction. The `<` forms catch
   // std::make_unique<Guard> / std::make_shared<Guard> / vector<Guard>.
   static const std::vector<std::string> kBadPrefixes = {
