@@ -81,10 +81,16 @@ class CircuitBreaker {
   }
 
   /// Records a successful execution. Returns true iff this call closed a
-  /// previously open breaker (a probe succeeded).
+  /// previously open breaker (a probe succeeded). Reads before it writes:
+  /// on a healthy breaker every worker records a success per query, and a
+  /// store or exchange there would make the workers trade the breaker's
+  /// cache line; two loads leave it shared.
   bool RecordSuccess() {
-    consecutive_failures_.store(0, std::memory_order_relaxed);
-    return open_.exchange(false, std::memory_order_acq_rel);
+    if (consecutive_failures_.load(std::memory_order_relaxed) != 0) {
+      consecutive_failures_.store(0, std::memory_order_relaxed);
+    }
+    return open_.load(std::memory_order_acquire) &&
+           open_.exchange(false, std::memory_order_acq_rel);
   }
 
   bool open() const { return open_.load(std::memory_order_acquire); }

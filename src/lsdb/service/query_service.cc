@@ -223,6 +223,12 @@ Status QueryService::SetUpObservability() {
   // The index-owned pools are private to each structure; their cache
   // behaviour reaches the registry via RefreshGauges() instead.
   seg_pool_->SetTracer(&tracer_, "segments");
+  MutexLock lk(gauges_mu_);
+  BindGauges();
+  for (GaugeGroup& g : gauge_groups_) {
+    if (g.ready) continue;
+    for (GaugeBinding& b : g.gauges) b.gauge = stats_.GetGauge(b.name);
+  }
   return Status::OK();
 }
 
@@ -257,85 +263,134 @@ void QueryService::EnablePageHeat() {
   }
 }
 
-void QueryService::RefreshGauges() {
-  using Values = std::initializer_list<std::pair<const char*, double>>;
-  const auto set = [this](const std::string& labels, Values values) {
-    for (const auto& [name, v] : values) stats_.GetGauge(name + labels)->Set(v);
-  };
-  const auto d = [](uint64_t v) { return static_cast<double>(v); };
-  // Pool, page-heat and snapshot-section gauges of one paged file.
-  const auto pool_gauges = [&](const char* name, const BufferPool* pool,
-                               const introspect::PageHeatMap* heat,
-                               const PageFile* file) {
-    const std::string labels = std::string("{pool=\"") + name + "\"}";
-    set(labels, {{"lsdb_bufferpool_hit_ratio", pool->hit_ratio()},
-                 {"lsdb_bufferpool_hits", d(pool->hits())},
-                 {"lsdb_bufferpool_misses", d(pool->misses())},
-                 {"lsdb_bufferpool_evictions", d(pool->evictions())},
-                 {"lsdb_bufferpool_pin_waits", d(pool->pin_waits())},
-                 {"lsdb_pool_io_retries", d(pool->io_retries())},
-                 {"lsdb_pool_checksum_failures", d(pool->checksum_failures())}});
-    if (heat != nullptr) {
-      set(labels, {{"lsdb_page_heat_touches", d(heat->total())}});
+void QueryService::BindGauges() {
+  // A value read may return any arithmetic type; std::function<double()>
+  // converts it.
+  using Values =
+      std::initializer_list<std::pair<const char*, std::function<double()>>>;
+  const auto bind = [this](const std::string& labels, Values values,
+                           std::function<bool()> ready = nullptr) {
+    GaugeGroup& g = gauge_groups_.emplace_back();
+    g.ready = std::move(ready);
+    for (const auto& [name, value] : values) {
+      g.gauges.push_back({name + labels, value});
     }
+  };
+  // Pool, page-heat and snapshot-section gauges of one paged file. The
+  // heat map may be attached later (EnablePageHeat); its gauge appears
+  // then.
+  using HeatPtr = std::unique_ptr<introspect::PageHeatMap>;
+  const auto pool_gauges = [&](const char* name, const BufferPool* pool,
+                               const HeatPtr* heat, const PageFile* file) {
+    const std::string labels = std::string("{pool=\"") + name + "\"}";
+    bind(labels,
+         {{"lsdb_bufferpool_hit_ratio", [=] { return pool->hit_ratio(); }},
+          {"lsdb_bufferpool_hits", [=] { return pool->hits(); }},
+          {"lsdb_bufferpool_misses", [=] { return pool->misses(); }},
+          {"lsdb_bufferpool_evictions", [=] { return pool->evictions(); }},
+          {"lsdb_bufferpool_pin_waits", [=] { return pool->pin_waits(); }},
+          {"lsdb_pool_io_retries", [=] { return pool->io_retries(); }},
+          {"lsdb_pool_checksum_failures",
+           [=] { return pool->checksum_failures(); }}});
+    bind(labels, {{"lsdb_page_heat_touches", [=] { return (*heat)->total(); }}},
+         [=] { return *heat != nullptr; });
     // Snapshot sections are the only mapped files a service serves.
     if (const auto* view = dynamic_cast<const MmapPageFile*>(file)) {
-      set(std::string("{section=\"") + name + "\"}",
-          {{"lsdb_snapshot_pages_verified", d(view->pages_verified())},
-           {"lsdb_snapshot_section_pages", d(view->page_count())}});
+      bind(std::string("{section=\"") + name + "\"}",
+           {{"lsdb_snapshot_pages_verified",
+             [=] { return view->pages_verified(); }},
+            {"lsdb_snapshot_section_pages",
+             [=] { return view->page_count(); }}});
     }
   };
-  pool_gauges("segments", seg_pool_.get(), seg_heat_.get(), seg_file_.get());
-  for (const ServedStructure& s : served_) {
-    pool_gauges(s.name, s.index->pool(), s.heat.get(), s.file.get());
-    const FaultStats& fs = s.injector->stats();
-    set(std::string("{index=\"") + s.name + "\"}",
-        {{"lsdb_degraded", s.breaker.open() ? 1.0 : 0.0},
-         {"lsdb_breaker_rejected_total", d(s.breaker.rejected())},
-         {"lsdb_breaker_times_opened", d(s.breaker.times_opened())},
-         {"lsdb_fault_reads", d(fs.reads.load())},
-         {"lsdb_fault_read_transient", d(fs.transient_read_faults.load())},
-         {"lsdb_fault_read_permanent", d(fs.permanent_read_faults.load())},
-         {"lsdb_fault_bitflips", d(fs.bitflips.load())},
-         {"lsdb_fault_total", d(fs.total_faults())}});
+  pool_gauges("segments", seg_pool_.get(), &seg_heat_, seg_file_.get());
+  for (ServedStructure& s : served_) {
+    pool_gauges(s.name, s.index->pool(), &s.heat, s.file.get());
+    const CircuitBreaker* br = &s.breaker;
+    const FaultStats* fs = &s.injector->stats();
+    bind(std::string("{index=\"") + s.name + "\"}",
+         {{"lsdb_degraded", [=] { return br->open() ? 1.0 : 0.0; }},
+          {"lsdb_breaker_rejected_total", [=] { return br->rejected(); }},
+          {"lsdb_breaker_times_opened", [=] { return br->times_opened(); }},
+          {"lsdb_fault_reads", [=] { return fs->reads.value(); }},
+          {"lsdb_fault_read_transient",
+           [=] { return fs->transient_read_faults.load(); }},
+          {"lsdb_fault_read_permanent",
+           [=] { return fs->permanent_read_faults.load(); }},
+          {"lsdb_fault_bitflips", [=] { return fs->bitflips.load(); }},
+          {"lsdb_fault_total", [=] { return fs->total_faults(); }}});
     for (QueryType type : kAllQueryTypes) {
-      const introspect::ProfileAccumulator::Summary p =
-          s.profiles[static_cast<size_t>(type)]->Merge();
-      if (p.queries == 0) continue;  // gauges appear once data exists
-      set(std::string("{index=\"") + s.name + "\",kind=\"" +
-              QueryTypeName(type) + "\"}",
-          {{"lsdb_introspect_queries", d(p.queries)},
-           {"lsdb_introspect_nodes_per_query", p.nodes_per_query()},
-           {"lsdb_introspect_false_leaf_read_rate", p.false_leaf_read_rate()},
-           {"lsdb_introspect_false_bucket_read_rate",
-            p.false_bucket_read_rate()},
-           {"lsdb_introspect_prune_rate", p.prune_rate()}});
+      // Merged once per refresh by `ready`; the gauges appear once data
+      // exists.
+      const introspect::ProfileAccumulator* acc =
+          s.profiles[static_cast<size_t>(type)].get();
+      auto p = std::make_shared<introspect::ProfileAccumulator::Summary>();
+      bind(std::string("{index=\"") + s.name + "\",kind=\"" +
+               QueryTypeName(type) + "\"}",
+           {{"lsdb_introspect_queries", [=] { return p->queries; }},
+            {"lsdb_introspect_nodes_per_query",
+             [=] { return p->nodes_per_query(); }},
+            {"lsdb_introspect_false_leaf_read_rate",
+             [=] { return p->false_leaf_read_rate(); }},
+            {"lsdb_introspect_false_bucket_read_rate",
+             [=] { return p->false_bucket_read_rate(); }},
+            {"lsdb_introspect_prune_rate", [=] { return p->prune_rate(); }}},
+           [=] {
+             *p = acc->Merge();
+             return p->queries != 0;
+           });
     }
   }
   for (uint32_t w = 0; w < workers_->size(); ++w) {
-    set("{worker=\"" + std::to_string(w) + "\"}",
-        {{"lsdb_worker_items_processed", d(workers_->items_processed(w))}});
+    bind("{worker=\"" + std::to_string(w) + "\"}",
+         {{"lsdb_worker_items_processed",
+           [=, this] { return workers_->items_processed(w); }}});
   }
-  const AdmissionStats a = admission_->Snapshot();
-  set("", {{"lsdb_admission_queue_depth", d(a.depth)},
-           {"lsdb_admission_queue_max_depth", d(a.max_depth)},
-           {"lsdb_admission_admitted_total", d(a.admitted)},
-           {"lsdb_admission_executed_total", d(a.executed)},
-           {"lsdb_admission_timeouts_total", d(a.timeouts)},
-           {"lsdb_admission_cancelled_total", d(a.cancelled)},
-           {"lsdb_admission_last_queue_delay_ns", d(a.last_queue_delay_ns)},
-           {"lsdb_worker_tasks_pending", d(workers_->tasks_pending())},
-           {"lsdb_introspect_enabled", introspection() ? 1.0 : 0.0},
-           {"lsdb_trace_lines_emitted", d(tracer_.lines_emitted())},
-           {"lsdb_trace_lines_dropped", d(tracer_.lines_dropped())}});
+  // The admission snapshot is taken by this group's `ready` and read by
+  // the shed-reason groups after it.
+  auto a = std::make_shared<AdmissionStats>();
+  bind("",
+       {{"lsdb_admission_queue_depth", [=] { return a->depth; }},
+        {"lsdb_admission_queue_max_depth", [=] { return a->max_depth; }},
+        {"lsdb_admission_admitted_total", [=] { return a->admitted; }},
+        {"lsdb_admission_executed_total", [=] { return a->executed; }},
+        {"lsdb_admission_timeouts_total", [=] { return a->timeouts; }},
+        {"lsdb_admission_cancelled_total", [=] { return a->cancelled; }},
+        {"lsdb_admission_last_queue_delay_ns",
+         [=] { return a->last_queue_delay_ns; }},
+        {"lsdb_worker_tasks_pending",
+         [this] { return workers_->tasks_pending(); }},
+        {"lsdb_introspect_enabled",
+         [this] { return introspection() ? 1.0 : 0.0; }},
+        {"lsdb_trace_lines_emitted",
+         [this] { return tracer_.lines_emitted(); }},
+        {"lsdb_trace_lines_dropped",
+         [this] { return tracer_.lines_dropped(); }}},
+       [=, this] {
+         *a = admission_->Snapshot();
+         return true;
+       });
   for (size_t i = 0; i < kNumShedReasons; ++i) {
-    if (a.shed[i] == 0) continue;  // gauges appear once sheds exist
-    set(std::string("{reason=\"") +
-            ShedReasonName(static_cast<ShedReason>(i)) + "\"}",
-        {{"lsdb_admission_shed_total", d(a.shed[i])}});
+    // Gauges appear once sheds exist.
+    bind(std::string("{reason=\"") +
+             ShedReasonName(static_cast<ShedReason>(i)) + "\"}",
+         {{"lsdb_admission_shed_total", [=] { return a->shed[i]; }}},
+         [=] { return a->shed[i] != 0; });
   }
   if (snapshot_ != nullptr) {
-    set("", {{"lsdb_snapshot_zero_copy", snapshot_zero_copy_ ? 1.0 : 0.0}});
+    bind("", {{"lsdb_snapshot_zero_copy",
+               [this] { return snapshot_zero_copy_ ? 1.0 : 0.0; }}});
+  }
+}
+
+void QueryService::RefreshGauges() {
+  MutexLock lk(gauges_mu_);
+  for (GaugeGroup& g : gauge_groups_) {
+    if (g.ready && !g.ready()) continue;
+    for (GaugeBinding& b : g.gauges) {
+      if (b.gauge == nullptr) b.gauge = stats_.GetGauge(b.name);
+      b.gauge->Set(b.value());
+    }
   }
 }
 

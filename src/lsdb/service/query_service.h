@@ -339,7 +339,9 @@ class QueryService {
   /// the fault injectors — the shared tail of both startup paths.
   [[nodiscard]] Status FreezeForServing();
   [[nodiscard]] Status SetUpObservability();
-  void RefreshGauges();
+  /// Builds gauge_groups_ (called by SetUpObservability).
+  void BindGauges() LSDB_REQUIRES(gauges_mu_);
+  void RefreshGauges() LSDB_EXCLUDES(gauges_mu_);
 
   /// The execution core. Runs `jobs[0..n)` on the calling thread as
   /// histogram/profile shard `shard`, with metric increments sent to
@@ -394,8 +396,28 @@ class QueryService {
   /// histogram shard is single-writer like the worker shards.
   Mutex caller_mu_{"QueryService.caller_mu"};
 
+  /// One registry gauge and the read that gives its value.
+  struct GaugeBinding {
+    std::string name;  ///< Full name, labels included.
+    std::function<double()> value;
+    StatsRegistry::Gauge* gauge = nullptr;  ///< Resolved when first shown.
+  };
+  /// Gauges shown together. `ready` (when set) runs first on every
+  /// refresh and may snapshot state the values read; false means no data
+  /// yet, and the group's gauges are neither created nor set. Groups
+  /// without `ready` are resolved once, in SetUpObservability.
+  struct GaugeGroup {
+    std::function<bool()> ready;
+    std::vector<GaugeBinding> gauges;
+  };
+
   // Observability state (per service instance; see SetUpObservability).
   StatsRegistry stats_;
+  /// Serializes stats() callers over the gauge bindings.
+  Mutex gauges_mu_{"QueryService.gauges_mu"};
+  /// Refreshed in order, so a group may read what an earlier group's
+  /// `ready` snapshotted.
+  std::vector<GaugeGroup> gauge_groups_ LSDB_GUARDED_BY(gauges_mu_);
   Tracer tracer_;
   std::atomic<uint64_t> next_query_id_{0};  ///< Trace span ids.
 

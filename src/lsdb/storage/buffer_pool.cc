@@ -225,11 +225,17 @@ void BufferPool::Unpin(uint32_t frame) {
   }
 }
 
+void BufferPool::CountFetch(PageId id) {
+  if (introspect::PageHeatMap* heat = heat_.load(std::memory_order_acquire)) {
+    heat->Touch(id);
+  }
+  if (MetricCounters* m = CounterSink(metrics_)) ++m->page_fetches;
+}
+
 StatusOr<BufferPool::PageRef> BufferPool::Fetch(PageId id) {
   if (file_->zero_copy()) return FetchZeroCopy(id);
   MutexLock lk(mu_);
-  if (heat_ != nullptr) heat_->Touch(id);
-  if (MetricCounters* m = CounterSink(metrics_)) ++m->page_fetches;
+  CountFetch(id);
   for (;;) {
     auto it = page_to_frame_.find(id);
     if (it != page_to_frame_.end()) {
@@ -240,7 +246,7 @@ StatusOr<BufferPool::PageRef> BufferPool::Fetch(PageId id) {
         fr.in_lru = false;
       }
       PinLocked(f);
-      ++hits_;
+      hits_.Add();
       TraceEvent(PoolEvent::kHit);
       return PageRef(this, f, id);
     }
@@ -260,43 +266,48 @@ StatusOr<BufferPool::PageRef> BufferPool::Fetch(PageId id) {
     fr.dirty = false;
     PinLocked(f);
     page_to_frame_[id] = f;
-    ++misses_;
+    misses_.Add();
     TraceEvent(PoolEvent::kMiss);
     return PageRef(this, f, id);
   }
 }
 
 StatusOr<BufferPool::PageRef> BufferPool::FetchZeroCopy(PageId id) {
-  // No frame, no pin: the backend hands out a borrowed pointer into its
-  // mapping. Counting mirrors the copying path — every fetch is a
-  // page_fetch; the page's first touch (when it is checksum-verified and
-  // genuinely faulted in) is the miss / disk_read, later touches are hits.
-  MutexLock lk(mu_);
-  if (heat_ != nullptr) heat_->Touch(id);
-  if (MetricCounters* m = CounterSink(metrics_)) ++m->page_fetches;
+  // No frame, no pin, no lock: the backend hands out a borrowed pointer
+  // into its immutable mapping. Counting mirrors the copying path — every
+  // fetch is a page_fetch; the page's first touch (when it is
+  // checksum-verified and genuinely faulted in) is the miss / disk_read,
+  // later touches are hits.
+  CountFetch(id);
   for (uint32_t attempt = 1;; ++attempt) {
     auto mapped = file_->MapPage(id);
     if (mapped.ok()) {
       if (mapped->first_touch) {
         if (MetricCounters* m = CounterSink(metrics_)) ++m->disk_reads;
-        ++misses_;
+        misses_.Add();
         TraceEvent(PoolEvent::kMiss);
       } else {
-        ++hits_;
+        hits_.Add();
         TraceEvent(PoolEvent::kHit);
       }
       return PageRef(mapped->data, id);
     }
+    // Failed map: the rare path, which may lock.
     const Status s = mapped.status();
-    if (s.IsCorruption()) {
-      ++checksum_failures_;
-      return s;
+    uint32_t backoff_us;
+    {
+      MutexLock lk(mu_);
+      if (s.IsCorruption()) {
+        ++checksum_failures_;
+        return s;
+      }
+      if (!s.IsIoError() || attempt >= retry_max_attempts_) return s;
+      ++io_retries_;
+      backoff_us = retry_backoff_us_;
     }
-    if (!s.IsIoError() || attempt >= retry_max_attempts_) return s;
-    ++io_retries_;
-    if (retry_backoff_us_ > 0) {
+    if (backoff_us > 0) {
       std::this_thread::sleep_for(
-          std::chrono::microseconds(retry_backoff_us_ * attempt));
+          std::chrono::microseconds(backoff_us * attempt));
     }
   }
 }
@@ -360,16 +371,6 @@ Status BufferPool::Free(PageId id) {
   return file_->Free(id);
 }
 
-uint64_t BufferPool::hits() const {
-  MutexLock lk(mu_);
-  return hits_;
-}
-
-uint64_t BufferPool::misses() const {
-  MutexLock lk(mu_);
-  return misses_;
-}
-
 uint64_t BufferPool::evictions() const {
   MutexLock lk(mu_);
   return evictions_;
@@ -381,10 +382,9 @@ uint64_t BufferPool::pin_waits() const {
 }
 
 double BufferPool::hit_ratio() const {
-  MutexLock lk(mu_);
-  const uint64_t total = hits_ + misses_;
-  return total == 0 ? 0.0
-                    : static_cast<double>(hits_) / static_cast<double>(total);
+  const uint64_t h = hits();
+  const uint64_t total = h + misses();
+  return total == 0 ? 0.0 : static_cast<double>(h) / static_cast<double>(total);
 }
 
 uint64_t BufferPool::io_retries() const {
@@ -404,21 +404,20 @@ void BufferPool::SetRetryPolicy(uint32_t max_attempts, uint32_t backoff_us) {
 }
 
 void BufferPool::SetTracer(Tracer* tracer, std::string pool_name) {
-  MutexLock lk(mu_);
-  tracer_ = tracer;
   pool_name_ = std::move(pool_name);
+  tracer_.store(tracer, std::memory_order_release);
 }
 
 void BufferPool::SetPageHeat(introspect::PageHeatMap* heat) {
-  MutexLock lk(mu_);
-  heat_ = heat;
+  heat_.store(heat, std::memory_order_release);
 }
 
 void BufferPool::TraceEvent(PoolEvent e) const {
-  // Called with mu_ held; the tracer does its own sampling and locking
-  // (lock order pool -> tracer, never the reverse).
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->EmitPoolEvent(pool_name_.c_str(), e);
+  // Called with or without mu_; the tracer does its own sampling and
+  // locking (lock order pool -> tracer, never the reverse).
+  Tracer* tracer = tracer_.load(std::memory_order_acquire);
+  if (tracer != nullptr && tracer->enabled()) {
+    tracer->EmitPoolEvent(pool_name_.c_str(), e);
   }
 }
 

@@ -11,21 +11,34 @@
 // time keeps the pool functional even at the smallest configurations used
 // in the Figure 6 sweep.
 //
-// Thread safety (added for the concurrent query service): all pool state is
-// guarded by one mutex, so any number of threads may Fetch/Release
-// concurrently. Page IO happens under the mutex, which keeps the replacement
-// order — and therefore the paper's disk-access counts — exactly the
-// single-threaded LRU semantics. When every frame is pinned, a Fetch whose
-// calling thread holds *all* the pins fails immediately with
-// ResourceExhausted (waiting would self-deadlock; this preserves the
-// single-threaded behaviour), otherwise it blocks on a condition variable
-// until another thread releases a pin (bounded by kExhaustedWaitMs).
-// A PageRef must be released on the thread that fetched it; frame contents
-// are stable while pinned, so readers never need the mutex for data().
+// Thread safety: any number of threads may Fetch/Release concurrently.
+// Which paths lock:
+//  * Copying path (frame-backed files: the paper harness, built services).
+//    Frames, the LRU list, the page map and the pin counts are guarded by
+//    one mutex, BufferPool.mu. Page IO happens under it, which keeps the
+//    replacement order — and therefore the paper's disk-access counts —
+//    exactly the single-threaded LRU semantics. When every frame is
+//    pinned, a Fetch whose calling thread holds *all* the pins fails
+//    immediately with ResourceExhausted (waiting would self-deadlock; this
+//    preserves the single-threaded behaviour), otherwise it blocks on a
+//    condition variable until another thread releases a pin (bounded by
+//    kExhaustedWaitMs). A PageRef must be released on the thread that
+//    fetched it; frame contents are stable while pinned, so readers never
+//    need the mutex for data().
+//  * Zero-copy path (mapped snapshot sections). An immutable mapped page
+//    needs no frame, pin or LRU, so FetchZeroCopy takes no lock and writes
+//    no line another worker writes: hit/miss counts go to per-thread
+//    ShardedCounter slots, the heat map and tracer are atomics read once
+//    per fetch, and first-touch verification is the backend's atomic
+//    claim. Only the rare corruption and IO-retry paths lock, to bump
+//    checksum_failures / io_retries and read the retry policy.
+// SetTracer, SetPageHeat and SetRetryPolicy are setup calls: make them
+// before the pool is shared.
 
 #ifndef LSDB_STORAGE_BUFFER_POOL_H_
 #define LSDB_STORAGE_BUFFER_POOL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <string>
@@ -36,6 +49,7 @@
 #include "lsdb/storage/page_file.h"
 #include "lsdb/util/counters.h"
 #include "lsdb/util/mutex.h"
+#include "lsdb/util/sharded_counter.h"
 #include "lsdb/util/status.h"
 #include "lsdb/util/thread_annotations.h"
 
@@ -134,19 +148,21 @@ class BufferPool {
   // -- Observability ------------------------------------------------------
   // Lifetime pool behaviour, tracked independently of MetricCounters (the
   // paper's metrics are untouched; these exist for cache-behaviour reports
-  // and the obs subsystem). All guarded by the pool mutex.
+  // and the obs subsystem). Hits and misses are sharded per thread and
+  // summed here; the rest are guarded by the pool mutex.
 
   /// Fetches served from a resident frame.
-  uint64_t hits() const LSDB_EXCLUDES(mu_);
-  /// Fetches that had to read the page from the file.
-  uint64_t misses() const LSDB_EXCLUDES(mu_);
+  uint64_t hits() const { return hits_.value(); }
+  /// Fetches that had to read the page from the file (zero-copy: the
+  /// page's first touch).
+  uint64_t misses() const { return misses_.value(); }
   /// Pages pushed out of the pool to make room (LRU victims).
   uint64_t evictions() const LSDB_EXCLUDES(mu_);
   /// Times a Fetch/New had to wait for another thread to release a pin.
   uint64_t pin_waits() const LSDB_EXCLUDES(mu_);
   /// hits / (hits + misses); 0 when no fetches have happened yet. New()
   /// calls are neither hits nor misses (they never read the file).
-  double hit_ratio() const LSDB_EXCLUDES(mu_);
+  double hit_ratio() const;
   /// Transient-IO retries performed (reads + write-backs, all attempts
   /// after the first).
   uint64_t io_retries() const LSDB_EXCLUDES(mu_);
@@ -165,13 +181,13 @@ class BufferPool {
   /// lines tagged with `pool_name`. Call before sharing the pool across
   /// threads; with no tracer attached (the default, and always the case in
   /// the sequential paper harness) the cost is one null-pointer test.
-  void SetTracer(Tracer* tracer, std::string pool_name) LSDB_EXCLUDES(mu_);
+  void SetTracer(Tracer* tracer, std::string pool_name);
 
   /// Attaches `heat` (not owned; may be null to detach) so every logical
   /// page access — copying or zero-copy, hit or miss — bumps its per-page
   /// counter. Call before sharing the pool across threads; unattached (the
   /// default) the cost is one null-pointer test per fetch.
-  void SetPageHeat(introspect::PageHeatMap* heat) LSDB_EXCLUDES(mu_);
+  void SetPageHeat(introspect::PageHeatMap* heat);
 
  private:
   struct Frame {
@@ -185,8 +201,11 @@ class BufferPool {
 
   /// Zero-copy fetch path: borrows the page pointer from the backend's
   /// MapPage() instead of copying into a frame. Hit/miss/disk-access
-  /// counting mirrors the copying path (first touch = miss).
+  /// counting mirrors the copying path (first touch = miss). Lock-free
+  /// except on a failed map (see file comment).
   [[nodiscard]] StatusOr<PageRef> FetchZeroCopy(PageId id) LSDB_EXCLUDES(mu_);
+  /// Counts one fetch of `id`: page heat and the query's page_fetches.
+  void CountFetch(PageId id);
   /// Finds a frame for a new page: free frame, LRU-evicted victim, or —
   /// when all frames are pinned by *other* threads — waits for a release.
   /// May drop mu_ while waiting (CondVar), but holds it on entry and exit.
@@ -203,7 +222,7 @@ class BufferPool {
   void PinLocked(uint32_t frame) LSDB_REQUIRES(mu_);
   void Unpin(uint32_t frame) LSDB_EXCLUDES(mu_);
   uint32_t SelfPinsLocked() const LSDB_REQUIRES(mu_);
-  void TraceEvent(PoolEvent e) const LSDB_REQUIRES(mu_);
+  void TraceEvent(PoolEvent e) const;
 
   PageFile* file_;
   MetricCounters* metrics_;
@@ -224,19 +243,21 @@ class BufferPool {
       LSDB_GUARDED_BY(mu_);
 
   // Observability (see accessor docs).
-  uint64_t hits_ LSDB_GUARDED_BY(mu_) = 0;
-  uint64_t misses_ LSDB_GUARDED_BY(mu_) = 0;
+  ShardedCounter hits_;
+  ShardedCounter misses_;
   uint64_t evictions_ LSDB_GUARDED_BY(mu_) = 0;
   uint64_t pin_waits_ LSDB_GUARDED_BY(mu_) = 0;
   uint64_t io_retries_ LSDB_GUARDED_BY(mu_) = 0;
   uint64_t checksum_failures_ LSDB_GUARDED_BY(mu_) = 0;
   uint32_t retry_max_attempts_ LSDB_GUARDED_BY(mu_) = kDefaultIoAttempts;
   uint32_t retry_backoff_us_ LSDB_GUARDED_BY(mu_) = kDefaultIoBackoffUs;
-  /// Not owned; null = no tracing.
-  Tracer* tracer_ LSDB_GUARDED_BY(mu_) = nullptr;
-  std::string pool_name_ LSDB_GUARDED_BY(mu_);
+  /// Not owned; null = no tracing. Published by SetTracer after
+  /// pool_name_, so a reader that sees the tracer also sees its name.
+  std::atomic<Tracer*> tracer_{nullptr};
+  /// Written only by SetTracer, before it publishes tracer_.
+  std::string pool_name_;
   /// Not owned; null = off.
-  introspect::PageHeatMap* heat_ LSDB_GUARDED_BY(mu_) = nullptr;
+  std::atomic<introspect::PageHeatMap*> heat_{nullptr};
 };
 
 }  // namespace lsdb

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,6 +14,7 @@ void FaultInjectingPageFile::set_plan(const FaultPlan& plan) {
   rng_ = Rng(plan.seed);
   dead_read_pages_.clear();
   dead_write_pages_.clear();
+  armed_.store(plan.active(), std::memory_order_release);
 }
 
 FaultPlan FaultInjectingPageFile::plan() const {
@@ -23,6 +25,7 @@ FaultPlan FaultInjectingPageFile::plan() const {
 void FaultInjectingPageFile::FailPage(PageId id) {
   MutexLock lk(mu_);
   dead_read_pages_.insert(id);
+  armed_.store(true, std::memory_order_release);
 }
 
 void FaultInjectingPageFile::MaybeSleep() const {
@@ -36,11 +39,12 @@ void FaultInjectingPageFile::MaybeSleep() const {
 
 Status FaultInjectingPageFile::Read(PageId id, void* buf,
                                     uint32_t* checksum) {
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
+  stats_.reads.Add();
   if (fail_all_reads_.load(std::memory_order_relaxed)) {
     stats_.permanent_read_faults.fetch_add(1, std::memory_order_relaxed);
     return Status::IoError("injected: device read failure");
   }
+  if (!armed()) return base_->Read(id, buf, checksum);
   bool bitflip = false;
   {
     MutexLock lk(mu_);
@@ -81,11 +85,13 @@ Status FaultInjectingPageFile::Read(PageId id, void* buf,
 }
 
 StatusOr<PageFile::MappedPage> FaultInjectingPageFile::MapPage(PageId id) {
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
+  stats_.reads.Add();
   if (fail_all_reads_.load(std::memory_order_relaxed)) {
     stats_.permanent_read_faults.fetch_add(1, std::memory_order_relaxed);
     return Status::IoError("injected: device read failure");
   }
+  if (!armed()) return base_->MapPage(id);
+  bool bitflip = false;
   {
     MutexLock lk(mu_);
     if (dead_read_pages_.count(id) != 0) {
@@ -104,17 +110,31 @@ StatusOr<PageFile::MappedPage> FaultInjectingPageFile::MapPage(PageId id) {
                                                std::memory_order_relaxed);
         return Status::IoError("injected: transient read failure");
       }
-      // No bitflip branch: the mapped view is read-only memory we cannot
-      // corrupt in place (see the header comment on MapPage).
+      // Read()'s draws in Read()'s order: the flip, then its bit. The bit
+      // is unused (there is no buffer to flip) but keeps the sequences of
+      // mapped and copied reads aligned.
+      if (rng_.Bernoulli(plan_.bitflip_rate)) {
+        bitflip = true;
+        rng_.Uniform(static_cast<uint64_t>(page_size_) * 8);
+      }
     }
   }
   MaybeSleep();
+  if (bitflip) {
+    // What verify-on-read reports for a flipped copy. The base is not
+    // mapped, so the page's first touch (its counted disk read) is still
+    // to come, as for a copied read the pool rejected.
+    stats_.bitflips.fetch_add(1, std::memory_order_relaxed);
+    return Status::Corruption("page " + std::to_string(id) +
+                              " failed checksum verification");
+  }
   return base_->MapPage(id);
 }
 
 Status FaultInjectingPageFile::Write(PageId id, const void* buf,
                                      uint32_t checksum) {
   stats_.writes.fetch_add(1, std::memory_order_relaxed);
+  if (!armed()) return base_->Write(id, buf, checksum);
   bool bitflip = false;
   bool torn = false;
   uint64_t bit = 0;

@@ -17,6 +17,12 @@
 // A decorator starts transparent (empty plan, pure pass-through). Services
 // build their structures through it, then arm a plan once frozen, so build
 // determinism and the paper metrics are never affected.
+//
+// Unarmed, the decorator costs one relaxed load of the `armed` flag and a
+// per-thread ShardedCounter bump: no mutex, no plan read, no RNG draw, so
+// a snapshot-served worker's zero-copy reads stay lock-free. set_plan (with
+// an active plan) and FailPage arm it; an armed decorator takes its mutex
+// per operation and draws from its RNG exactly as it always has.
 
 #ifndef LSDB_STORAGE_FAULT_INJECTION_H_
 #define LSDB_STORAGE_FAULT_INJECTION_H_
@@ -28,6 +34,7 @@
 #include "lsdb/storage/page_file.h"
 #include "lsdb/util/mutex.h"
 #include "lsdb/util/random.h"
+#include "lsdb/util/sharded_counter.h"
 #include "lsdb/util/status.h"
 #include "lsdb/util/thread_annotations.h"
 
@@ -48,7 +55,9 @@ struct FaultPlan {
   double write_permanent_rate = 0.0;
   /// Silent corruption: one random bit of the page flips. On reads the
   /// returned buffer is corrupted; on writes the stored bytes are. The
-  /// stored checksum is *not* recomputed, so the pool detects it.
+  /// stored checksum is *not* recomputed, so the pool detects it. A mapped
+  /// (zero-copy) read has no buffer to flip and fails with
+  /// Status::Corruption instead.
   double bitflip_rate = 0.0;
   /// Torn write: only the first half of the page reaches storage, the rest
   /// stays zero/stale; the checksum still describes the full intended page.
@@ -66,7 +75,9 @@ struct FaultPlan {
 /// Per-fault counters. Monotonic over the decorator's lifetime; readable
 /// concurrently with serving traffic.
 struct FaultStats {
-  std::atomic<uint64_t> reads{0};   ///< Read attempts seen (incl. failed).
+  /// Read and map attempts seen (incl. failed). Sharded: every zero-copy
+  /// fetch of a served snapshot bumps it.
+  ShardedCounter reads;
   std::atomic<uint64_t> writes{0};  ///< Write attempts seen (incl. failed).
   std::atomic<uint64_t> transient_read_faults{0};
   std::atomic<uint64_t> permanent_read_faults{0};
@@ -84,8 +95,8 @@ struct FaultStats {
 
 /// PageFile decorator injecting faults per a FaultPlan. Does not own the
 /// base file, which must outlive it. Thread-safe: the plan, RNG, and dead
-/// page sets are guarded by a mutex (the decorator is below the BufferPool,
-/// whose own mutex already serializes IO in practice).
+/// page sets are guarded by a mutex, which only an armed decorator takes
+/// (see file comment).
 class FaultInjectingPageFile : public PageFile {
  public:
   explicit FaultInjectingPageFile(PageFile* base)
@@ -95,13 +106,14 @@ class FaultInjectingPageFile : public PageFile {
   using PageFile::Write;
 
   /// Installs (and re-seeds) the fault plan. An all-zero plan restores
-  /// pass-through behaviour; dead-page memory is cleared either way.
+  /// pass-through behaviour; dead-page memory is cleared either way. Arms
+  /// the decorator iff the plan is active.
   void set_plan(const FaultPlan& plan) LSDB_EXCLUDES(mu_);
   /// By value: the plan may be swapped live.
   FaultPlan plan() const LSDB_EXCLUDES(mu_);
 
   /// Forces every read of `id` to fail permanently — a deterministic
-  /// "this page died" switch for tests and demos.
+  /// "this page died" switch for tests and demos. Arms the decorator.
   void FailPage(PageId id) LSDB_EXCLUDES(mu_);
   /// While on, every read fails with kIoError (whole device dead). Counted
   /// as permanent read faults.
@@ -122,11 +134,12 @@ class FaultInjectingPageFile : public PageFile {
       override LSDB_EXCLUDES(mu_);
   [[nodiscard]] Status Write(PageId id, const void* buf, uint32_t checksum)
       override LSDB_EXCLUDES(mu_);
-  /// Same read-fault ladder as Read() over the base's zero-copy view.
-  /// Bit flips are the one fault that cannot be injected here: the view is
-  /// a borrowed pointer into a read-only mapping, so there is no buffer to
-  /// corrupt — flipped-byte coverage for snapshots comes from corrupting
-  /// the file itself (see the hostile-snapshot tests).
+  /// Same read-fault ladder as Read() over the base's zero-copy view, with
+  /// the same RNG draws in the same order. The view is a borrowed pointer
+  /// into a read-only mapping, so a bit flip cannot corrupt a buffer:
+  /// instead the map fails with the Status::Corruption that checksum
+  /// verification gives a flipped copied read, without touching the base
+  /// (the page's first touch is still to come). Counted in bitflips.
   [[nodiscard]] StatusOr<MappedPage> MapPage(PageId id)
       override LSDB_EXCLUDES(mu_);
   [[nodiscard]] StatusOr<PageId> Allocate() override { return base_->Allocate(); }
@@ -135,7 +148,12 @@ class FaultInjectingPageFile : public PageFile {
  private:
   void MaybeSleep() const;
 
+  /// True while a plan is active or a page was failed by FailPage. While
+  /// false every operation passes straight through to the base.
+  bool armed() const { return armed_.load(std::memory_order_acquire); }
+
   PageFile* base_;
+  std::atomic<bool> armed_{false};
   /// Guards the plan, RNG, and dead-page sets. Sits below the BufferPool
   /// mutex in the lock hierarchy (pool IO calls into the decorator), but
   /// the decorator never calls back up, so the order is acyclic.

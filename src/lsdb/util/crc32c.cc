@@ -1,5 +1,7 @@
 #include "lsdb/util/crc32c.h"
 
+#include "lsdb/simd/crc32c_hw.h"
+
 namespace lsdb {
 namespace crc32c {
 
@@ -31,7 +33,7 @@ const Tables& tables() {
 
 }  // namespace
 
-uint32_t Compute(const void* data, size_t n, uint32_t init) {
+uint32_t ComputePortable(const void* data, size_t n, uint32_t init) {
   const Tables& tb = tables();
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t crc = ~init;
@@ -57,6 +59,12 @@ uint32_t Compute(const void* data, size_t n, uint32_t init) {
     --n;
   }
   return ~crc;
+}
+
+uint32_t Compute(const void* data, size_t n, uint32_t init) {
+  static const simd::Crc32cUpdateFn kHardware = simd::HardwareCrc32c();
+  if (kHardware == nullptr) return ComputePortable(data, n, init);
+  return ~kHardware(~init, static_cast<const uint8_t*>(data), n);
 }
 
 }  // namespace crc32c

@@ -6,9 +6,12 @@
 // page read, turning silent on-disk corruption (bit flips, torn writes)
 // into a typed Status::Corruption instead of garbage traversal.
 //
-// Implementation is a portable slice-by-8 table walk — no hardware
-// dependencies, identical results on every platform, ~1 GB/s which is far
-// above anything the 1K-page storage layer needs.
+// Compute() runs a hardware kernel when the CPU has one (SSE4.2 crc32 on
+// x86-64, the ARMv8 CRC32 extension on AArch64; see simd/crc32c_hw.h),
+// chosen once at first use. ComputePortable() is the slice-by-8 table walk:
+// always compiled, identical on every platform, and the oracle the
+// differential tests hold the hardware kernel to. -DLSDB_SIMD=off or the
+// LSDB_SIMD=off|scalar environment variable keeps Compute() on it.
 
 #ifndef LSDB_UTIL_CRC32C_H_
 #define LSDB_UTIL_CRC32C_H_
@@ -22,6 +25,9 @@ namespace crc32c {
 /// CRC-32C of `n` bytes at `data`. `init` chains computations: pass the
 /// previous result to extend a running checksum, 0 to start fresh.
 uint32_t Compute(const void* data, size_t n, uint32_t init = 0);
+
+/// Compute() on the portable slice-by-8 path, whatever the CPU.
+uint32_t ComputePortable(const void* data, size_t n, uint32_t init = 0);
 
 }  // namespace crc32c
 }  // namespace lsdb

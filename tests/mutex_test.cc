@@ -431,5 +431,38 @@ TEST(BreakerReconfigTest, ProbeIntervalClampedToOne) {
   EXPECT_FALSE(breaker.open());
 }
 
+TEST(CircuitBreakerTest, RecordSuccessReportsTheCloseExactlyOnce) {
+  CircuitBreaker breaker(CircuitBreaker::Options{.failure_threshold = 2,
+                                                 .probe_interval = 1});
+  // Closed: a success has nothing to close.
+  EXPECT_FALSE(breaker.RecordSuccess());
+  EXPECT_FALSE(breaker.RecordSuccess());
+  EXPECT_FALSE(breaker.RecordFailure());
+  EXPECT_TRUE(breaker.RecordFailure());  // trips
+  ASSERT_TRUE(breaker.open());
+  EXPECT_TRUE(breaker.RecordSuccess());   // the probe that closes it
+  EXPECT_FALSE(breaker.open());
+  EXPECT_FALSE(breaker.RecordSuccess());
+  // The streak was reset: one failure alone does not trip it again.
+  EXPECT_FALSE(breaker.RecordFailure());
+  EXPECT_FALSE(breaker.open());
+
+  // Concurrent successes after a trip: exactly one reports the close.
+  ASSERT_TRUE(breaker.RecordFailure());
+  constexpr int kThreads = 4;
+  std::atomic<int> closes{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&]() {
+      for (int i = 0; i < 1000; ++i) {
+        if (breaker.RecordSuccess()) closes.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(closes.load(), 1);
+  EXPECT_FALSE(breaker.open());
+}
+
 }  // namespace
 }  // namespace lsdb

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -719,6 +720,66 @@ TEST(ServiceObsTest, RegistryExposesQueryCountsAndPoolGauges) {
             std::string::npos)
       << prom;
   EXPECT_TRUE(JsonValidator::Valid((*svc)->stats().RenderJson()));
+}
+
+
+/// Prometheus sample lines of `text`, name (labels included) -> value.
+std::map<std::string, std::string> PromSamples(const std::string& text) {
+  std::map<std::string, std::string> out;
+  for (const std::string& line : Lines(text)) {
+    if (line.empty() || line[0] == '#') continue;
+    const size_t sp = line.rfind(' ');
+    out[line.substr(0, sp)] = line.substr(sp + 1);
+  }
+  return out;
+}
+
+TEST(ServiceObsTest, ConsecutiveRendersKeepGaugeNamesAndRefreshValues) {
+  const PolygonalMap map = ObsTestMap();
+  ServiceOptions opt;
+  opt.num_threads = 2;
+  auto svc = QueryService::Build(map, opt);
+  ASSERT_TRUE(svc.ok());
+  const auto batch = ObsBatch(map, 200);
+  ASSERT_TRUE((*svc)->ExecuteBatch(ServedIndex::kRStar, batch).ok());
+  const std::string prom1 = (*svc)->stats().RenderPrometheus();
+  // Nothing ran in between: the same text, Prometheus and JSON alike.
+  EXPECT_EQ((*svc)->stats().RenderPrometheus(), prom1);
+  const std::string json1 = (*svc)->stats().RenderJson();
+  EXPECT_EQ((*svc)->stats().RenderJson(), json1);
+
+  ASSERT_TRUE((*svc)->ExecuteBatch(ServedIndex::kRStar, batch).ok());
+  const auto first = PromSamples(prom1);
+  const auto second = PromSamples((*svc)->stats().RenderPrometheus());
+  std::vector<std::string> names1, names2;
+  for (const auto& [name, v] : first) names1.push_back(name);
+  for (const auto& [name, v] : second) names2.push_back(name);
+  EXPECT_EQ(names1, names2);
+  // The resolved gauges were set again, not left at their first values.
+  for (const char* moved :
+       {"lsdb_bufferpool_hits{pool=\"R*\"}",
+        "lsdb_bufferpool_hits{pool=\"segments\"}"}) {
+    ASSERT_EQ(first.count(moved), 1u) << moved;
+    EXPECT_LT(std::stod(first.at(moved)), std::stod(second.at(moved)))
+        << moved;
+  }
+  double items1 = 0, items2 = 0;
+  for (const char* w : {"lsdb_worker_items_processed{worker=\"0\"}",
+                        "lsdb_worker_items_processed{worker=\"1\"}"}) {
+    items1 += std::stod(first.at(w));
+    items2 += std::stod(second.at(w));
+  }
+  EXPECT_LT(items1, items2);
+  // A gauge group that waits for data appears once it has some.
+  const std::string introspect =
+      "lsdb_introspect_queries{index=\"R*\",kind=\"window\"}";
+  EXPECT_EQ(second.count(introspect), 0u);
+  (*svc)->set_introspection(true);
+  ASSERT_TRUE((*svc)->ExecuteBatch(ServedIndex::kRStar, batch).ok());
+  const auto third = PromSamples((*svc)->stats().RenderPrometheus());
+  ASSERT_EQ(third.count(introspect), 1u);
+  EXPECT_EQ(third.at(introspect), "50");
+  EXPECT_EQ(third.size(), second.size() + 5 * std::size(kAllQueryTypes));
 }
 
 }  // namespace

@@ -416,11 +416,16 @@ TEST(SnapshotFaultTest, TransientMapFaultsAreRetriedAndTyped) {
   opt.serving_buffer_frames = 16;
   opt.inject_faults = true;
   opt.fault_plan.read_transient_rate = 0.01;
+  // Mapped reads have no buffer to flip: a drawn flip fails the map with
+  // the Corruption a flipped copied read fails verification with.
+  opt.fault_plan.bitflip_rate = 0.002;
   for (const bool zero_copy : {true, false}) {
     auto svc = QueryService::OpenFromSnapshot(path, opt, zero_copy);
     ASSERT_TRUE(svc.ok()) << svc.status().ToString();
     const auto batch = MixedBatch(map, 2000, 47);
     uint64_t faults = 0;
+    uint64_t bitflips = 0;
+    uint64_t checksum_failures = 0;
     for (ServedIndex which : kAllServedIndexes) {
       auto res = (*svc)->ExecuteBatch(which, batch);
       ASSERT_TRUE(res.ok()) << res.status().ToString();
@@ -434,8 +439,13 @@ TEST(SnapshotFaultTest, TransientMapFaultsAreRetriedAndTyped) {
       // Bounded retries absorb most 1% transient faults.
       EXPECT_GT(ok, batch.size() / 2) << ServedIndexName(which);
       faults += (*svc)->fault_injector(which)->stats().total_faults();
+      bitflips += (*svc)->fault_injector(which)->stats().bitflips.load();
+      checksum_failures += (*svc)->index(which)->pool()->checksum_failures();
     }
     EXPECT_GT(faults, 0u) << (zero_copy ? "mmap" : "pool");
+    EXPECT_GT(bitflips, 0u) << (zero_copy ? "mmap" : "pool");
+    // Every injected flip reaches the pool as a checksum failure.
+    EXPECT_EQ(checksum_failures, bitflips) << (zero_copy ? "mmap" : "pool");
   }
   std::remove(path.c_str());
 }

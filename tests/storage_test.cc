@@ -1,13 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "lsdb/simd/crc32c_hw.h"
 #include "lsdb/storage/buffer_pool.h"
 #include "lsdb/storage/fault_injection.h"
+#include "lsdb/storage/mmap_page_file.h"
 #include "lsdb/storage/page_file.h"
+#include "lsdb/util/counters.h"
 #include "lsdb/util/crc32c.h"
+#include "lsdb/util/random.h"
+#include "lsdb/util/sharded_counter.h"
 
 namespace lsdb {
 namespace {
@@ -267,6 +275,28 @@ TEST(Crc32cTest, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Crc32cTest, DispatchedMatchesPortableOverLengthsAndAlignments) {
+  // Differential fuzz: every length 0..4096 at unaligned starts and with
+  // chained init values, the dispatched kernel (hardware when the CPU has
+  // one) against the slice-by-8 oracle, and the raw hardware kernel too.
+  std::vector<uint8_t> buf(4096 + 16);
+  Rng rng(0xC5C);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Uniform(256));
+  const simd::Crc32cUpdateFn hw = simd::HardwareCrc32c();
+  for (size_t n = 0; n <= 4096; ++n) {
+    const size_t offset = n % 13;  // 0..12: every start alignment mod 8
+    const uint8_t* p = buf.data() + offset;
+    const auto init = static_cast<uint32_t>(rng.Uniform(uint64_t{1} << 32));
+    const uint32_t want = crc32c::ComputePortable(p, n, init);
+    ASSERT_EQ(crc32c::Compute(p, n, init), want)
+        << "n=" << n << " offset=" << offset;
+    if (hw != nullptr) {
+      ASSERT_EQ(~hw(~init, p, n), want) << "n=" << n << " offset=" << offset;
+    }
+  }
+  RecordProperty("crc32c_kernel", hw != nullptr ? "hardware" : "portable");
+}
+
 TEST(PageChecksumTest, MemPageFileStoresAndReturnsChecksums) {
   MemPageFile f(128);
   auto p = f.Allocate();
@@ -461,6 +491,262 @@ TEST(PoolRetryTest, FailedDirtyWritebackDoesNotLeakTheFrame) {
     ASSERT_TRUE(ref.ok());
     EXPECT_EQ(ref->data()[0], static_cast<uint8_t>(0x50 + i));
   }
+}
+
+
+// -- Lock-free zero-copy reads -----------------------------------------------
+
+/// `pages` page images (page i filled with 0x40 + i), each followed by its
+/// little-endian CRC-32C trailer: the slot layout of a snapshot section.
+std::vector<uint8_t> MappedImage(uint32_t page_size, PageId pages) {
+  const uint32_t slot = page_size + kPageTrailerSize;
+  std::vector<uint8_t> image(static_cast<size_t>(slot) * pages);
+  for (PageId i = 0; i < pages; ++i) {
+    uint8_t* p = image.data() + static_cast<size_t>(i) * slot;
+    std::memset(p, static_cast<int>(0x40 + i), page_size);
+    const uint32_t crc = crc32c::Compute(p, page_size);
+    for (uint32_t b = 0; b < 4; ++b) {
+      p[page_size + b] = static_cast<uint8_t>(crc >> (8 * b));
+    }
+  }
+  return image;
+}
+
+/// The outcome of a fixed single-threaded operation sequence under two
+/// armed fault plans, one character per operation: over a copying backend
+/// (reads: '.' clean, 'c' fails its CRC, 't'/'p' transient/permanent
+/// fault; writes: 'w' ok, 'T'/'P') and over a zero-copy mapping ('F' first
+/// touch, '.', 't', 'p'), each followed by its fault counts.
+std::string ArmedFaultSequence() {
+  std::string out;
+  constexpr uint32_t kPage = 128;
+  constexpr PageId kPages = 8;
+  {
+    MemPageFile base(kPage);
+    FaultInjectingPageFile faulty(&base);
+    std::vector<uint8_t> buf(kPage), rd(kPage);
+    for (PageId i = 0; i < kPages; ++i) {
+      auto id = faulty.Allocate();
+      if (!id.ok()) return "allocate failed";
+      std::memset(buf.data(), static_cast<int>(i + 1), kPage);
+      if (!faulty.Write(*id, buf.data()).ok()) return "write failed";
+    }
+    FaultPlan plan;
+    plan.seed = 2024;
+    plan.read_transient_rate = 0.1;
+    plan.read_permanent_rate = 0.02;
+    plan.write_transient_rate = 0.1;
+    plan.write_permanent_rate = 0.02;
+    plan.bitflip_rate = 0.05;
+    plan.torn_write_rate = 0.05;
+    faulty.set_plan(plan);
+    for (uint32_t i = 0; i < 300; ++i) {
+      const PageId page = i % 3 == 2 ? i % kPages : (i * 5) % kPages;
+      Status s;
+      if (i % 3 == 2) {
+        std::memset(buf.data(), static_cast<int>(i), kPage);
+        s = faulty.Write(page, buf.data());
+        if (s.ok()) {
+          out += 'w';
+          continue;
+        }
+      } else {
+        uint32_t stored = 0;
+        s = faulty.Read(page, rd.data(), &stored);
+        if (s.ok()) {
+          out += crc32c::Compute(rd.data(), kPage) == stored ? '.' : 'c';
+          continue;
+        }
+      }
+      const bool permanent =
+          s.ToString().find("permanent") != std::string::npos;
+      out += i % 3 == 2 ? (permanent ? 'P' : 'T') : (permanent ? 'p' : 't');
+    }
+    const FaultStats& st = faulty.stats();
+    out += "|" + std::to_string(st.transient_read_faults.load()) + "," +
+           std::to_string(st.permanent_read_faults.load()) + "," +
+           std::to_string(st.transient_write_faults.load()) + "," +
+           std::to_string(st.permanent_write_faults.load()) + "," +
+           std::to_string(st.bitflips.load()) + "," +
+           std::to_string(st.torn_writes.load()) + "|";
+  }
+  {
+    const uint32_t slot = kPage + kPageTrailerSize;
+    std::vector<uint8_t> mapping(static_cast<size_t>(slot) * kPages);
+    for (PageId i = 0; i < kPages; ++i) {
+      uint8_t* p = mapping.data() + static_cast<size_t>(i) * slot;
+      std::memset(p, static_cast<int>(0x40 + i), kPage);
+      const uint32_t crc = crc32c::Compute(p, kPage);
+      for (int b = 0; b < 4; ++b) {
+        p[kPage + b] = static_cast<uint8_t>(crc >> (8 * b));
+      }
+    }
+    MmapPageFile view(mapping.data(), kPages, kPage, /*zero_copy=*/true);
+    FaultInjectingPageFile faulty(&view);
+    FaultPlan plan;
+    plan.seed = 4242;
+    plan.read_transient_rate = 0.15;
+    plan.read_permanent_rate = 0.03;
+    faulty.set_plan(plan);
+    for (uint32_t i = 0; i < 200; ++i) {
+      auto mapped = faulty.MapPage((i * 3) % kPages);
+      if (mapped.ok()) {
+        out += mapped->first_touch ? 'F' : '.';
+      } else {
+        const bool permanent = mapped.status().ToString().find(
+                                   "permanent") != std::string::npos;
+        out += permanent ? 'p' : 't';
+      }
+    }
+    const FaultStats& st = faulty.stats();
+    out += "|" + std::to_string(st.transient_read_faults.load()) + "," +
+           std::to_string(st.permanent_read_faults.load());
+  }
+  return out;
+}
+
+TEST(ShardedCounterTest, ConcurrentAddsSumExactly) {
+  constexpr int kThreads = 8;
+  constexpr uint64_t kAdds = 20000;
+  ShardedCounter c;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&c]() {
+      for (uint64_t i = 0; i < kAdds; ++i) c.Add();
+    });
+  }
+  // A read concurrent with the adds is a relaxed partial sum.
+  EXPECT_LE(c.value(), kThreads * kAdds);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(c.value(), kThreads * kAdds);
+}
+
+TEST(LockFreeReadTest, HammeredZeroCopyPoolCountsEveryFetchOnce) {
+  constexpr uint32_t kPage = 128;
+  constexpr PageId kPages = 64;
+  constexpr PageId kTouched = 48;  // the threads read these; 16 stay cold
+  constexpr int kThreads = 4;
+  constexpr int kFetches = 5000;
+  const std::vector<uint8_t> image = MappedImage(kPage, kPages);
+  MmapPageFile view(image.data(), kPages, kPage, /*zero_copy=*/true);
+  FaultInjectingPageFile faulty(&view);  // unarmed: pure pass-through
+  BufferPool pool(&faulty, 4, nullptr);
+  MetricCounters per_thread[kThreads];
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      ScopedCounterSink sink(&per_thread[t]);
+      for (int i = 0; i < kFetches; ++i) {
+        // 7 is coprime to 48, so every thread sweeps all touched pages.
+        const auto id = static_cast<PageId>((i * 7 + t * 13) % kTouched);
+        auto ref = pool.Fetch(id);
+        if (!ref.ok() || ref->data()[0] != 0x40 + id) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  MetricCounters total;
+  for (const MetricCounters& m : per_thread) total += m;
+  EXPECT_EQ(total.page_fetches, uint64_t{kThreads} * kFetches);
+  EXPECT_EQ(pool.hits() + pool.misses(), total.page_fetches);
+  // Each page's first touch is its one miss and its one disk read,
+  // whichever thread won the verification claim.
+  EXPECT_EQ(pool.misses(), kTouched);
+  EXPECT_EQ(total.disk_reads, kTouched);
+  EXPECT_EQ(view.pages_verified(), kTouched);
+  EXPECT_EQ(pool.pinned_frames(), 0u);
+  EXPECT_EQ(faulty.stats().reads.value(), total.page_fetches);
+  EXPECT_EQ(faulty.stats().total_faults(), 0u);
+}
+
+TEST(LockFreeReadTest, UnarmedInjectorInjectsNothingUnderConcurrency) {
+  constexpr uint32_t kPage = 128;
+  constexpr PageId kPages = 8;
+  constexpr int kThreads = 4;
+  constexpr int kReads = 2000;
+  MemPageFile base(kPage);
+  FaultInjectingPageFile faulty(&base);
+  // A plan that was armed and then cleared leaves the injector unarmed.
+  FaultPlan plan;
+  plan.read_transient_rate = 1.0;
+  faulty.set_plan(plan);
+  faulty.set_plan(FaultPlan());
+  std::vector<uint8_t> buf(kPage);
+  for (PageId i = 0; i < kPages; ++i) {
+    ASSERT_TRUE(faulty.Allocate().ok());
+    std::memset(buf.data(), static_cast<int>(i + 1), kPage);
+    ASSERT_TRUE(faulty.Write(i, buf.data()).ok());
+  }
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      std::vector<uint8_t> rd(kPage);
+      for (int i = 0; i < kReads; ++i) {
+        const auto id = static_cast<PageId>((i + t) % kPages);
+        uint32_t stored = 0;
+        if (!faulty.Read(id, rd.data(), &stored).ok() ||
+            rd[kPage - 1] != id + 1 ||
+            crc32c::Compute(rd.data(), kPage) != stored) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(faulty.stats().total_faults(), 0u);
+  EXPECT_EQ(faulty.stats().reads.value(), uint64_t{kThreads} * kReads);
+  EXPECT_EQ(faulty.stats().writes.load(), kPages);
+}
+
+TEST(LockFreeReadTest, ArmedPlansReplayTheRecordedFaultSequence) {
+  // Recorded from the injector as it was before unarmed operations
+  // bypassed its mutex and before mapped reads could draw bit flips. An
+  // armed plan must draw the same RNG sequence and so inject the same
+  // faults, operation for operation.
+  constexpr const char* kRecorded =
+      "..w..w.cw..w..wt.w..wc.T..w.tw.tw..w.cw..w..wc.w..w.tw..w.cw.cwc"
+      ".wccwccw.tw..w..wc.w..T..Tt.w..w.cw..w..w.tw..w..w..w..T..w..w.."
+      "w..w..w..wp.T..wttw..w.tw.pw..wtcwp.wc.wt.w.cw.pw.pwc.wpcwp.w.cw"
+      "..wt.wcpw.pw..wp.wpcTp.w..wc.w.pT.pw.pwp.wptwp.P.pwc.w.pwppwtpwp"
+      ".wpcTptP.pwc.w.pwppwcpwptwptwpcPtpwc.T.pTppw|19,38,10,3,16,4|tFF"
+      "FFFFFFt.....tp.......p...tt..p...t...p..t.pt.p....pt.p....p..p.p"
+      "ttp..p.p..p..p.p..p..p.pp.p..p.pp.pp.p.pp.pp.p.pptpptp.pp.pptptp"
+      "p.pp.ptpp.pptptpptpp.p.pp.pptp.pp.pp.p.pptpp.p.pp.pp.p.pp.pp.p.p"
+      "ptpp.|22,87";
+  EXPECT_EQ(ArmedFaultSequence(), kRecorded);
+}
+
+TEST(StorageFaultTest, MappedBitflipSurfacesAsCorruption) {
+  constexpr uint32_t kPage = 128;
+  const std::vector<uint8_t> image = MappedImage(kPage, 8);
+  MmapPageFile view(image.data(), 8, kPage, /*zero_copy=*/true);
+  FaultInjectingPageFile faulty(&view);
+  MetricCounters metrics;
+  BufferPool pool(&faulty, 4, &metrics);
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.bitflip_rate = 1.0;  // every mapped read comes back "flipped"
+  faulty.set_plan(plan);
+  auto bad = pool.Fetch(3);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsCorruption()) << bad.status().ToString();
+  EXPECT_EQ(faulty.stats().bitflips.load(), 1u);
+  EXPECT_EQ(pool.checksum_failures(), 1u);
+  // A rejected read is no disk access, and it does not use up the page's
+  // first touch: as on the copying path, the next clean read is the miss.
+  EXPECT_EQ(metrics.disk_reads, 0u);
+  EXPECT_EQ(view.pages_verified(), 0u);
+  faulty.set_plan(FaultPlan());
+  auto good = pool.Fetch(3);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->data()[0], 0x43);
+  EXPECT_EQ(metrics.disk_reads, 1u);
+  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(pool.hits(), 0u);
 }
 
 }  // namespace
